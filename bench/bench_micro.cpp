@@ -285,52 +285,6 @@ BENCHMARK(BM_UdBatchReroute)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// The same UD wave under the chip-tile decomposition (docs/tiling.md):
-// tiles:1/threads:1 is the untiled serial baseline, tiles:4/threads:8
-// runs a 4x4 tile grid with concurrent tile workers.  Routes and
-// demand are bit-identical across rows (the tile-equivalence battery
-// proves it); the rows differ only in wall clock and in the recorded
-// plan-parallelism counters — how many nets ran tile-local vs on the
-// boundary path, how many tiles carried work, and what the fixed-order
-// boundary merges cost.  scripts/run_bench.sh distills both rows into
-// BENCH_tile.json.
-void BM_TileBatchReroute(benchmark::State& state) {
-  auto& f = udFixture();
-  const int tilesPerSide = static_cast<int>(state.range(0));
-  groute::GlobalRouterOptions options;
-  options.mazeMargin = 1;  // tight conflict rects: multi-net batches
-  options.routerThreads = static_cast<int>(state.range(1));
-  options.tileRows = tilesPerSide;
-  options.tileCols = tilesPerSide;
-  groute::GlobalRouter router(f.db, options);
-  router.run();
-  groute::RerouteBatchStats last;
-  for (auto _ : state) {
-    state.PauseTiming();
-    f.shiftCells();
-    state.ResumeTiming();
-    last = router.rerouteNets(f.affected);
-    benchmark::DoNotOptimize(last);
-  }
-  state.counters["nets"] =
-      benchmark::Counter(static_cast<double>(last.nets));
-  state.counters["batches"] =
-      benchmark::Counter(static_cast<double>(last.batches));
-  state.counters["tile_local"] =
-      benchmark::Counter(static_cast<double>(last.tileLocalNets));
-  state.counters["boundary"] =
-      benchmark::Counter(static_cast<double>(last.boundaryNets));
-  state.counters["tiles_used"] =
-      benchmark::Counter(static_cast<double>(last.tilesUsed));
-  state.counters["merge_ms"] =
-      benchmark::Counter(last.mergeSeconds * 1e3);
-}
-BENCHMARK(BM_TileBatchReroute)
-    ->ArgNames({"tiles", "threads"})
-    ->Args({1, 1})
-    ->Args({4, 8})
-    ->Unit(benchmark::kMillisecond);
-
 // ---- spatial observability overhead ----------------------------------------
 
 // One full CR&P iteration (k=1) on the 600-cell benchmark with the

@@ -10,12 +10,7 @@
 #      BENCH_parallel_rrr.json.  The >= 2x speedup gate only applies
 #      when the machine exposes >= 4 CPUs — on fewer cores the wall
 #      clock is recorded honestly (parallelism cannot help there; the
-#      batch plan and routes are identical either way).  The same wave
-#      under the 4x4 chip-tile decomposition (docs/tiling.md) lands in
-#      BENCH_tile.json: the >= 4x-at-8-threads gate applies only when
-#      nproc >= 8 (same multicore policy), but the per-tile
-#      plan-parallelism — tile-local vs boundary nets, tiles carrying
-#      work, merge wall clock — is always recorded.
+#      batch plan and routes are identical either way).
 #   3. Incremental-ECO vs from-scratch over the crp_test1..10 suite
 #      (bench_eco), distilled into BENCH_eco.json with a >= 10x
 #      median-speedup gate for the recorded 0.5%-of-cells deltas.
@@ -34,9 +29,8 @@
 #      under ThreadSanitizer (CRP_SANITIZE=thread, separate build
 #      tree), guarding the sharded cache, the dynamic parallelFor
 #      scheduling, the metrics registry / span tracer / flight-recorder
-#      ring, the concurrent rerouteNet batches, and the tile-equivalence
-#      battery (concurrent tile workers merging boundary demand through
-#      per-tile views).  Skip with CRP_SKIP_TSAN=1.
+#      ring, and the concurrent rerouteNet batches.  Skip with
+#      CRP_SKIP_TSAN=1.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -148,69 +142,6 @@ else:
     print(f"note: only {cpus} CPU(s) visible - skipping the 2x gate")
 EOF
 rm -f rrr_bench_raw.json
-
-# ---- chip-tile batch reroute ------------------------------------------------
-"$BUILD"/bench/bench_micro \
-  --benchmark_filter='BM_TileBatchReroute' \
-  --benchmark_repetitions=5 \
-  --benchmark_enable_random_interleaving=true \
-  --benchmark_format=json \
-  --benchmark_out=tile_bench_raw.json \
-  --benchmark_out_format=json
-
-python3 - <<'EOF'
-import json
-import os
-
-with open("tile_bench_raw.json") as f:
-    raw = json.load(f)
-
-rows = {b["name"]: b for b in raw["benchmarks"]
-        if b.get("aggregate_name") == "median"}
-serial = rows["BM_TileBatchReroute/tiles:1/threads:1_median"]
-tiled = rows["BM_TileBatchReroute/tiles:4/threads:8_median"]
-
-def ms(row):
-    assert row["time_unit"] == "ms", row["time_unit"]
-    return row["real_time"]
-
-cpus = os.cpu_count() or 1
-total = int(tiled["tile_local"]) + int(tiled["boundary"])
-summary = {
-    "benchmark": "BM_TileBatchReroute",
-    "suite": "bmgen 2400 cells, fine gcell grid, every 9th cell shifted 4 gcells",
-    "cpus": cpus,
-    "tile_grid": "4x4",
-    "ud_reroute_untiled_serial_ms": round(ms(serial), 3),
-    "ud_reroute_tiled_threads8_ms": round(ms(tiled), 3),
-    "speedup": round(ms(serial) / ms(tiled), 2),
-    "nets": int(tiled["nets"]),
-    "batches": int(tiled["batches"]),
-    "tile_local_nets": int(tiled["tile_local"]),
-    "boundary_nets": int(tiled["boundary"]),
-    "tile_local_frac": round(int(tiled["tile_local"]) / total, 4) if total else 0.0,
-    "tiles_used": int(tiled["tiles_used"]),
-    "merge_ms": round(tiled["merge_ms"], 3),
-    "context": raw["context"],
-}
-with open("BENCH_tile.json", "w") as f:
-    json.dump(summary, f, indent=2)
-    f.write("\n")
-
-print("BENCH_tile.json:")
-print(json.dumps({k: v for k, v in summary.items() if k != "context"},
-                 indent=2))
-# PR 3 multicore policy: the wall-clock gate measures the machine as
-# much as the code, so it arms only with enough real cores for the
-# 8-thread row; the plan-parallelism counters above are recorded
-# unconditionally either way.
-if cpus >= 8:
-    assert summary["speedup"] >= 4.0, \
-        f"tiled RRR speedup {summary['speedup']}x below the 4x target"
-else:
-    print(f"note: only {cpus} CPU(s) visible - skipping the 4x gate")
-EOF
-rm -f tile_bench_raw.json
 
 # ---- spatial-observability overhead ----------------------------------------
 # One CR&P iteration with heatmap snapshots off vs on.  The off row is
@@ -375,7 +306,7 @@ if [[ "${CRP_SKIP_TSAN:-0}" != "1" ]]; then
   cmake -B "$TSAN_BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCRP_SANITIZE=thread
   cmake --build "$TSAN_BUILD" -j "$(nproc)" \
-    --target test_util test_pricing test_obs test_groute test_serve test_tile
+    --target test_util test_pricing test_obs test_groute test_serve
   ctest --test-dir "$TSAN_BUILD" --output-on-failure \
-    -R 'ThreadPool|PricingCache|PricingEngine|Metrics|Tracer|ObsMacros|FlightRecorder|ParallelReroute|ObsContext|Logger|Serve|TileEquivalence|TileDemandView'
+    -R 'ThreadPool|PricingCache|PricingEngine|Metrics|Tracer|ObsMacros|FlightRecorder|ParallelReroute|ObsContext|Logger|Serve'
 fi

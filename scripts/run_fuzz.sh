@@ -13,9 +13,6 @@
 #      window re-run with fixed macro blocks + routing blockages
 #      (--macros) and again with mixed cell heights (--multi-row),
 #      both at paranoid audit level.  Skip with CRP_SKIP_SCENARIOS=1.
-#      A third pass arms the chip-tile decomposition (--tiles 2,2,
-#      docs/tiling.md), adding the tiled-2x2 paired leg that must match
-#      the serial fingerprints exactly.  Skip with CRP_SKIP_TILES=1.
 #   3. A shorter campaign in a separate ASan+UBSan build tree
 #      (CRP_SANITIZE=address), so memory errors on the audited paths
 #      surface even when every invariant holds.  Skip with
@@ -46,13 +43,6 @@ if [[ "${CRP_SKIP_SCENARIOS:-0}" != "1" ]]; then
   # Mixed-height axis: per-seed multi-row cell fraction in [0.05, 0.3].
   "$BUILD"/tools/crp_fuzz --seeds "$SEEDS" --seed-start "$SEED_START" --k 2 \
     --multi-row 0.3 --artifacts fuzz-artifacts-multirow
-fi
-
-if [[ "${CRP_SKIP_TILES:-0}" != "1" ]]; then
-  # Chip-tile axis: the tiled-2x2 paired leg (concurrent tile workers
-  # merging boundary demand) must keep every fingerprint bit-identical.
-  "$BUILD"/tools/crp_fuzz --seeds "$SEEDS" --seed-start "$SEED_START" --k 2 \
-    --tiles 2,2 --artifacts fuzz-artifacts-tile
 fi
 
 if [[ "${CRP_SKIP_ASAN:-0}" != "1" ]]; then

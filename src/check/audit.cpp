@@ -139,8 +139,6 @@ const char* invariantName(Invariant invariant) {
       return "macro-overlap-legality";
     case Invariant::kHeightAlignment:
       return "height-row-alignment";
-    case Invariant::kTilePartitionExactness:
-      return "tile-partition-exactness";
   }
   return "unknown";
 }
@@ -391,7 +389,6 @@ AuditReport DbAuditor::auditAll() const {
     auditDemand(report);
     auditGuideRoundTrip(report);
     auditBlockages(report);
-    auditTilePartition(report);
   }
   return report;
 }
@@ -472,91 +469,6 @@ void DbAuditor::auditBlockages(AuditReport& report) const {
                           segmentName(seg) + " crosses blocked " +
                               wireEdgeName(e)});
           break;
-        }
-      }
-    }
-  }
-}
-
-void DbAuditor::auditTilePartition(AuditReport& report) const {
-  if (router_ == nullptr) return;
-  const groute::TileGrid* tiles = router_->tileGrid();
-  if (tiles == nullptr) return;  // tiling off: skipped, not failed
-  ++report.invariantsChecked;
-
-  // Core rects must partition the GCell grid exactly.  The full-grid
-  // tileAt scan proves every gcell maps to a tile whose core contains
-  // it; the area sum then rules out overlap (a double-covered gcell
-  // would push the sum past the grid area).
-  long coreArea = 0;
-  for (int t = 0; t < tiles->numTiles(); ++t) {
-    coreArea += tiles->tileRect(t).area();
-  }
-  const long gridArea =
-      static_cast<long>(tiles->countX()) * tiles->countY();
-  if (coreArea != gridArea) {
-    record(report, {Invariant::kTilePartitionExactness, "tile core rects",
-                    "areas summing to " + std::to_string(gridArea),
-                    "sum " + std::to_string(coreArea)});
-  }
-  for (int y = 0; y < tiles->countY(); ++y) {
-    for (int x = 0; x < tiles->countX(); ++x) {
-      const int t = tiles->tileAt(x, y);
-      if (t < 0 || t >= tiles->numTiles() ||
-          !tiles->tileRect(t).contains(x, y)) {
-        std::ostringstream object;
-        object << "gcell (" << x << "," << y << ")";
-        record(report, {Invariant::kTilePartitionExactness, object.str(),
-                        "tileAt returns the tile whose core contains it",
-                        "tile " + std::to_string(t)});
-      }
-    }
-  }
-
-  // Halo consistency: every haloed rect must be its core expanded by
-  // the grid's halo width, clamped to the die — which makes adjacent
-  // halos symmetric around each shared core boundary.
-  for (int t = 0; t < tiles->numTiles(); ++t) {
-    groute::GCellRect expected = tiles->tileRect(t);
-    expected.expand(tiles->halo(), tiles->countX() - 1, tiles->countY() - 1);
-    const groute::GCellRect actual = tiles->haloedRect(t);
-    if (expected.xlo != actual.xlo || expected.ylo != actual.ylo ||
-        expected.xhi != actual.xhi || expected.yhi != actual.yhi) {
-      record(report,
-             {Invariant::kTilePartitionExactness,
-              "haloed rect of tile " + std::to_string(t),
-              "core expanded by halo " + std::to_string(tiles->halo()),
-              "inconsistent rect"});
-    }
-  }
-
-  // View quiescence: between batches every per-tile view must have
-  // merged — zero pending ops and zero delta residue — so the per-tile
-  // views sum exactly to the global demand the graph already carries.
-  const groute::RoutingGraph& graph = router_->graph();
-  for (const groute::TileDemandView* view : router_->tileViews()) {
-    const std::string object = "tile " + std::to_string(view->tile());
-    if (view->hasPending()) {
-      record(report, {Invariant::kTilePartitionExactness, object,
-                      "quiescent view (0 pending ops)",
-                      std::to_string(view->pendingOps()) + " pending op(s)"});
-    }
-    const groute::GCellRect& cov = view->coverage();
-    bool residue = false;
-    for (int layer = 0; layer < graph.numLayers() && !residue; ++layer) {
-      for (int y = cov.ylo; y <= cov.yhi && !residue; ++y) {
-        for (int x = cov.xlo; x <= cov.xhi && !residue; ++x) {
-          if (view->wireDelta({layer, x, y}) != 0.0 ||
-              view->viaCountDelta({layer, x, y}) != 0 ||
-              (layer + 1 < graph.numLayers() &&
-               view->viaDelta({layer, x, y}) != 0.0)) {
-            std::ostringstream where;
-            where << object << " slot L" << layer << " (" << x << "," << y
-                  << ")";
-            record(report, {Invariant::kTilePartitionExactness, where.str(),
-                            "zero demand-delta residue", "nonzero delta"});
-            residue = true;
-          }
         }
       }
     }

@@ -75,11 +75,8 @@ enum class Invariant {
                        ///< no route crosses a hard-blocked edge
   kMacroLegality,      ///< no cell overlaps a fixed macro; macros in-die
   kHeightAlignment,    ///< multi-row cells aligned to whole row spans
-  kTilePartitionExactness,  ///< tile cores partition the GCell grid,
-                            ///< halos match neighbor geometry, views
-                            ///< quiescent (no pending ops / residue)
 };
-inline constexpr int kNumInvariants = 10;
+inline constexpr int kNumInvariants = 9;
 
 const char* invariantName(Invariant invariant);
 
@@ -156,15 +153,6 @@ class DbAuditor {
   /// stay put — exactly what fixed-only hard blocking guarantees), and
   /// no committed route may cross a hard-blocked edge.  Needs router.
   void auditBlockages(AuditReport& report) const;
-  /// Tile-partition exactness (docs/tiling.md): the tile core rects
-  /// partition the GCell grid exactly (disjoint, covering), every halo
-  /// rect is the core expanded by the grid's halo width clamped to the
-  /// die, tileAt is consistent with the core partition, and — at
-  /// phase-boundary quiescence — every TileDemandView carries zero
-  /// pending ops and zero delta residue, i.e. per-tile views sum
-  /// exactly to the global demand the graph already holds.  Skipped
-  /// (not failed) when no router is attached or tiling is off.
-  void auditTilePartition(AuditReport& report) const;
 
  private:
   const db::Database& db_;

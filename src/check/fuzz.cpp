@@ -27,8 +27,6 @@ struct LegConfig {
   int routerThreads = 1;
   bool cache = true;
   bool obsOn = true;
-  int tileRows = 1;  ///< > 1 (or cols > 1) arms the tile decomposition
-  int tileCols = 1;
 };
 
 /// CR&P seed used inside every leg.  Fixed (not the fuzz seed): the
@@ -66,8 +64,6 @@ LegResult runLeg(const bmgen::BenchmarkSpec& spec, const LegConfig& config,
     options.routerThreads = config.routerThreads;
     options.pricingCache = config.cache;
     options.deltaPricing = config.cache;
-    options.tileRows = config.tileRows;
-    options.tileCols = config.tileCols;
     options.auditLevel = auditLevel;
     // Spatial tier on: the obs-on legs then exercise snapshot capture
     // and the timeline joins their report fingerprints (value-exact
@@ -153,21 +149,13 @@ SeedResult FuzzCampaign::runSeedAt(std::uint64_t seed, int targetCells,
   result.minimizedCells = spec.targetCells;
   result.minimizedIterations = k;
 
-  std::vector<LegConfig> legs = {
+  const LegConfig legs[] = {
       {"serial", 1, true, true},
       {"rt-" + std::to_string(options_.routerThreadsVariant),
        options_.routerThreadsVariant, true, true},
       {"cache-off", 1, false, true},
       {"obs-off", 1, true, false},
   };
-  if (options_.tileRows > 0 && options_.tileCols > 0) {
-    // Tiled leg at the rt-N thread count: concurrent tile workers plus
-    // boundary nets, still required to be fingerprint-exact.
-    legs.push_back({"tiled-" + std::to_string(options_.tileRows) + "x" +
-                        std::to_string(options_.tileCols),
-                    options_.routerThreadsVariant, true, true,
-                    options_.tileRows, options_.tileCols});
-  }
   for (const LegConfig& config : legs) {
     result.legs.push_back(runLeg(spec, config, k, options_.auditLevel));
   }
@@ -235,11 +223,6 @@ std::string replayCommandFor(const FuzzOptions& options, std::uint64_t seed,
   if (options.macroCount > 0) replay << " --macros " << options.macroCount;
   if (options.multiRowFrac > 0.0) {
     replay << " --multi-row " << options.multiRowFrac;
-  }
-  // Tiles are flow config (no spec draw), but the tiled leg only runs
-  // when the flag is armed, so the repro must carry it.
-  if (options.tileRows > 0 && options.tileCols > 0) {
-    replay << " --tiles " << options.tileRows << "," << options.tileCols;
   }
   return replay.str();
 }

@@ -16,13 +16,6 @@
 // rebuild, requiring clean audits on both sides plus quality parity
 // (check/eco_equivalence.hpp) — not state equality.
 //
-// With FuzzOptions::tileRows/tileCols a sixth differential leg
-// (tiled-RxC) joins the paired set: the same flow over an R x C
-// chip-tile decomposition (docs/tiling.md) at the rt-N thread count,
-// which must reproduce the serial reference's state AND report
-// fingerprints exactly — tiling is a scheduling refinement, never a
-// result change.
-//
 // Every leg runs with in-flow audits armed (CrpOptions::auditLevel,
 // paranoid by default here: after every phase, pricing-cache coherence
 // after ECC, I/O round-trips at iteration ends) plus a final
@@ -82,13 +75,6 @@ struct FuzzOptions {
   /// parity (check/eco_equivalence.hpp).  Runs after the four
   /// differential legs agree.
   bool ecoLeg = false;
-  /// Sixth leg (tiled-RxC): when both are > 0, rerun the flow with the
-  /// chip-tile decomposition armed (docs/tiling.md) at the rt-N thread
-  /// count and require exact state + report fingerprint agreement with
-  /// the serial reference.  Tiles are flow configuration, not a design
-  /// axis — the seed's spec RNG stream is untouched.
-  int tileRows = 0;
-  int tileCols = 0;
 };
 
 /// Deterministic spec derivation: same (seed, options) -> same design.

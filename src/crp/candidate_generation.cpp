@@ -409,58 +409,9 @@ double estimateCandidateCost(const db::Database& db,
   return total;
 }
 
-namespace {
-
-/// Per-tile task groups over a cell list: bucket i of the result holds
-/// the indices (into `cells`, ascending) whose cell sits in the i-th
-/// non-empty tile.  Depends only on cell positions — never on
-/// schedule — so the grouping is deterministic.
-std::vector<std::vector<std::size_t>> groupCellsByTile(
-    const db::Database& db, const groute::TileGrid& tiles,
-    const std::vector<db::CellId>& cells) {
-  const db::GCellGrid grid(db.design().dieArea,
-                           std::max(1, db.design().gcellCountX),
-                           std::max(1, db.design().gcellCountY));
-  std::vector<std::vector<std::size_t>> buckets(tiles.numTiles());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const db::GCell g = grid.cellAt(db.cell(cells[i]).pos);
-    buckets[tiles.tileAt(g.x, g.y)].push_back(i);
-  }
-  std::vector<std::vector<std::size_t>> groups;
-  for (auto& bucket : buckets) {
-    if (!bucket.empty()) groups.push_back(std::move(bucket));
-  }
-  return groups;
-}
-
-/// Runs `body(i)` for every i in [0, n): per-tile groups as pool units
-/// when a tile grid is given, the flat per-index schedule otherwise.
-/// Both schedules execute body(i) exactly once per index; the work
-/// itself must be (and is, for GCP/ECC) order-independent.
-template <typename Body>
-void forEachScheduled(std::size_t n, util::ThreadPool* pool,
-                      const groute::TileGrid* tiles,
-                      const std::vector<std::vector<std::size_t>>& groups,
-                      const Body& body) {
-  if (pool == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  if (tiles == nullptr) {
-    pool->parallelFor(n, body);
-    return;
-  }
-  pool->parallelFor(groups.size(), [&](std::size_t g) {
-    for (const std::size_t i : groups[g]) body(i);
-  });
-}
-
-}  // namespace
-
 std::vector<CellCandidates> buildCandidates(
     const db::Database& db, const legalizer::IlpLegalizer& legalizer,
-    const std::vector<db::CellId>& criticalSet, util::ThreadPool* pool,
-    const groute::TileGrid* tiles) {
+    const std::vector<db::CellId>& criticalSet, util::ThreadPool* pool) {
   std::unordered_set<db::CellId> criticalLookup(criticalSet.begin(),
                                                 criticalSet.end());
   std::vector<CellCandidates> result(criticalSet.size());
@@ -491,11 +442,11 @@ std::vector<CellCandidates> buildCandidates(
       out.candidates.push_back(std::move(candidate));
     }
   };
-  std::vector<std::vector<std::size_t>> groups;
-  if (pool != nullptr && tiles != nullptr) {
-    groups = groupCellsByTile(db, *tiles, criticalSet);
+  if (pool != nullptr) {
+    pool->parallelFor(criticalSet.size(), buildFor);
+  } else {
+    for (std::size_t i = 0; i < criticalSet.size(); ++i) buildFor(i);
   }
-  forEachScheduled(criticalSet.size(), pool, tiles, groups, buildFor);
   return result;
 }
 
@@ -504,21 +455,17 @@ void priceCandidates(const db::Database& db,
                      std::vector<CellCandidates>& candidates,
                      util::ThreadPool* pool,
                      const PricingOptions& pricing,
-                     PricingStats* stats,
-                     const groute::TileGrid* tiles) {
+                     PricingStats* stats) {
   CandidatePricer pricer(db, router, pricing);
   auto priceFor = [&](std::size_t i) {
     static thread_local PricerScratch scratch;
     pricer.priceCell(candidates[i], scratch);
   };
-  std::vector<std::vector<std::size_t>> groups;
-  if (pool != nullptr && tiles != nullptr) {
-    std::vector<db::CellId> cells;
-    cells.reserve(candidates.size());
-    for (const CellCandidates& cc : candidates) cells.push_back(cc.cell);
-    groups = groupCellsByTile(db, *tiles, cells);
+  if (pool != nullptr) {
+    pool->parallelFor(candidates.size(), priceFor);
+  } else {
+    for (std::size_t i = 0; i < candidates.size(); ++i) priceFor(i);
   }
-  forEachScheduled(candidates.size(), pool, tiles, groups, priceFor);
   if (stats != nullptr) *stats += pricer.stats();
   if (pricing.cacheEntriesOut != nullptr) {
     *pricing.cacheEntriesOut = pricer.cacheEntries();

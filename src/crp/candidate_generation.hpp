@@ -84,31 +84,20 @@ double estimateCandidateCost(
 /// plus the legalizer's proposals.  Candidates that would displace
 /// another critical cell are dropped (the selection ILP treats each
 /// critical cell's assignment as independent; see DESIGN.md §6).
-/// `pool` may be null for single-threaded execution.  With `tiles`,
-/// cells are scheduled as per-tile task groups (one pool unit per tile
-/// holding critical cells, cells in criticalSet order within a group)
-/// for spatial locality; per-cell results are position-only, so the
-/// grouping is value-exact.
+/// `pool` may be null for single-threaded execution.
 std::vector<CellCandidates> buildCandidates(
     const db::Database& db, const legalizer::IlpLegalizer& legalizer,
-    const std::vector<db::CellId>& criticalSet, util::ThreadPool* pool,
-    const groute::TileGrid* tiles = nullptr);
+    const std::vector<db::CellId>& criticalSet, util::ThreadPool* pool);
 
 /// Alg. 3 (ECC phase): prices every candidate in place through the
 /// incremental engine.  `stats`, when given, receives the phase's
-/// cache/delta counters.  With `tiles`, cells are priced as per-tile
-/// task groups (docs/tiling.md); every counted pricing outcome is
-/// exactly one event per (cell, net, candidate) regardless of
-/// schedule, so netsPriced — and the fingerprint — are unchanged by
-/// the grouping (only the hit/skip split, excluded from the
-/// fingerprint, can shift).
+/// cache/delta counters.
 void priceCandidates(const db::Database& db,
                      const groute::GlobalRouter& router,
                      std::vector<CellCandidates>& candidates,
                      util::ThreadPool* pool,
                      const PricingOptions& pricing,
-                     PricingStats* stats = nullptr,
-                     const groute::TileGrid* tiles = nullptr);
+                     PricingStats* stats = nullptr);
 void priceCandidates(const db::Database& db,
                      const groute::GlobalRouter& router,
                      std::vector<CellCandidates>& candidates,

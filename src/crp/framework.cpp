@@ -33,8 +33,6 @@ CrpFramework::CrpFramework(db::Database& db, groute::GlobalRouter& router,
   // into obsCtx_, not whatever context the constructing thread had.
   obs::ObsContextScope scope(obsCtx_);
   router_.setRouterThreads(options.routerThreads);
-  router_.setTileGrid(options.tileRows, options.tileCols,
-                      options.haloGcells);
   baseline_ = obsCtx_->metrics().snapshot();
   for (const char* phase : kPhases) {
     runReport_.phases.push_back(obs::RunReport::PhaseStat{phase, 0.0});
@@ -64,9 +62,6 @@ obs::Json optionsFingerprintJson(const CrpOptions& options) {
   json.set("prioritizeByCost", options.prioritizeByCost);
   json.set("historyDamping", options.historyDamping);
   json.set("seed", options.seed);
-  json.set("tileRows", options.tileRows);
-  json.set("tileCols", options.tileCols);
-  json.set("haloGcells", options.haloGcells);
   json.set("pricingCache", options.pricingCache);
   json.set("deltaPricing", options.deltaPricing);
   json.set("maxCriticalCells", options.maxCriticalCells);
@@ -148,7 +143,6 @@ void CrpFramework::maybeAudit(const char* phase, bool iterationEnd,
   auditor.auditPlacement(report);
   auditor.auditRoutes(report);
   auditor.auditDemand(report);
-  auditor.auditTilePartition(report);
   if (cacheEntries != nullptr && !cacheEntries->empty()) {
     ++report.invariantsChecked;
     const groute::PatternRouter pattern(router_.graph(),
@@ -254,8 +248,7 @@ IterationReport CrpFramework::runIteration() {
       legalizerOptions.maxCandidates = ecoMaxCandidates_;
     }
     const legalizer::IlpLegalizer legalizer(db_, legalizerOptions);
-    candidates = buildCandidates(db_, legalizer, criticalSet, pool_,
-                                 router_.tileGrid());
+    candidates = buildCandidates(db_, legalizer, criticalSet, pool_);
     chargePhase(kPhaseGcp, watch.seconds());
   }
   for (const CellCandidates& cc : candidates) {
@@ -285,7 +278,7 @@ IterationReport CrpFramework::runIteration() {
       pricing.cacheEntriesOut = &cacheEntries;
     }
     priceCandidates(db_, router_, candidates, pool_, pricing,
-                    &report.pricing, router_.tileGrid());
+                    &report.pricing);
     report.eccSeconds = watch.seconds();
     chargePhase(kPhaseEcc, report.eccSeconds);
     // One aggregate publish per ECC phase (the pricing hot path keeps
@@ -369,15 +362,7 @@ IterationReport CrpFramework::runIteration() {
     // cell's old-terminal entries sit inside its nets' old extents, so
     // they are evicted here too rather than lingering as orphans.
     invalidateEcoCache(affectedNets);
-    const groute::RerouteBatchStats udBatch =
-        router_.rerouteNets(affectedNets);
-    if (router_.tileGrid() != nullptr) {
-      timeline.tiled = true;
-      timeline.tileLocalNets = udBatch.tileLocalNets;
-      timeline.tileBoundaryNets = udBatch.boundaryNets;
-      timeline.tilesUsed = udBatch.tilesUsed;
-      timeline.tileMergeSeconds = udBatch.mergeSeconds;
-    }
+    router_.rerouteNets(affectedNets);
     report.reroutedNets = static_cast<int>(affectedNets.size());
     CRP_OBS_EVENT("crp", "reroute", report.reroutedNets);
     movesUsed_ += report.movedCells + report.displacedCells;

@@ -60,18 +60,6 @@ struct CrpOptions {
   /// plan is deterministic and batch members touch disjoint regions).
   int routerThreads = 0;
 
-  /// Chip-tile spatial decomposition (docs/tiling.md), applied to the
-  /// GlobalRouter at framework construction and used to schedule the
-  /// GCP candidate windows and ECC pricing as per-tile task groups.
-  /// 1 x 1 disables tiling.  Value-exact: any tile grid at any thread
-  /// count yields bit-identical routes, demand maps, heatmaps and run
-  /// fingerprints.
-  int tileRows = 1;
-  int tileCols = 1;
-  /// Tile halo width in gcells; -1 = auto (the batch planner's
-  /// conflict margin, mazeMargin + 1).
-  int haloGcells = -1;
-
   /// ECC incremental pricing engine (docs/pricing_cache.md).  All three
   /// knobs are value-exact: toggling them changes the ECC wall time,
   /// never the candidate costs or the selection.

@@ -7,7 +7,6 @@
 
 #include "obs/obs.hpp"
 #include "util/logger.hpp"
-#include "util/timer.hpp"
 
 namespace crp::groute {
 
@@ -20,39 +19,6 @@ GlobalRouter::GlobalRouter(const db::Database& db,
       maze_(graph_, options.mazeMargin),
       routes_(db.numNets()) {
   for (db::NetId n = 0; n < db.numNets(); ++n) routes_[n].net = n;
-  rebuildTiles();
-}
-
-void GlobalRouter::rebuildTiles() {
-  tiles_.reset();
-  tileViews_.clear();
-  TileGridSpec spec;
-  spec.rows = options_.tileRows;
-  spec.cols = options_.tileCols;
-  spec.haloGcells = options_.haloGcells;
-  if (!spec.enabled()) return;
-  tiles_ = std::make_unique<TileGrid>(graph_.grid().countX(),
-                                      graph_.grid().countY(), spec,
-                                      maze_.boxMargin() + 1);
-  tileViews_.reserve(tiles_->numTiles());
-  for (int t = 0; t < tiles_->numTiles(); ++t) {
-    tileViews_.push_back(std::make_unique<TileDemandView>(
-        graph_.numLayers(), t, tiles_->haloedRect(t)));
-  }
-}
-
-void GlobalRouter::setTileGrid(int rows, int cols, int haloGcells) {
-  options_.tileRows = rows;
-  options_.tileCols = cols;
-  options_.haloGcells = haloGcells;
-  rebuildTiles();
-}
-
-std::vector<const TileDemandView*> GlobalRouter::tileViews() const {
-  std::vector<const TileDemandView*> views;
-  views.reserve(tileViews_.size());
-  for (const auto& view : tileViews_) views.push_back(view.get());
-  return views;
 }
 
 std::vector<GPoint> GlobalRouter::netTerminals(db::NetId net) const {
@@ -145,30 +111,14 @@ void GlobalRouter::ripUp(db::NetId net) {
 }
 
 bool GlobalRouter::rerouteNet(db::NetId net, bool mazeFirst) {
-  return rerouteNetImpl(net, mazeFirst, nullptr);
-}
-
-bool GlobalRouter::rerouteNetImpl(db::NetId net, bool mazeFirst,
-                                  TileDemandView* view) {
   CRP_OBS_COUNT("gr.reroutes", 1);
-  // With a tile view the demand writes land in the view instead of the
-  // shared graph (merged at the batch boundary); the maze/pattern cost
-  // reads see them through the caller-installed OverlayScope, so the
-  // search observes exactly the state the untiled path would.
-  const auto apply = [&](const NetRoute& r, int sign) {
-    if (view != nullptr) {
-      view->applyRouteLocal(r, sign);
-    } else {
-      graph_.applyRoute(r, sign);
-    }
-  };
   NetRoute& route = routes_.at(net);
   // Rip up, keeping the old segments so a double routing failure can
   // restore the previous route instead of silently dropping its demand.
   NetRoute previous;
   previous.net = net;
   if (route.routed) {
-    apply(route, -1);
+    graph_.applyRoute(route, -1);
     previous.segments = std::move(route.segments);
     previous.routed = true;
     route.clear();
@@ -187,7 +137,7 @@ bool GlobalRouter::rerouteNetImpl(db::NetId net, bool mazeFirst,
       // caller decides how to handle the failure.
       route.segments = std::move(previous.segments);
       route.routed = true;
-      apply(route, +1);
+      graph_.applyRoute(route, +1);
     }
     CRP_OBS_COUNT("gr.reroute_failures", 1);
     CRP_OBS_EVENT("gr", "reroute.fail", net);
@@ -195,7 +145,7 @@ bool GlobalRouter::rerouteNetImpl(db::NetId net, bool mazeFirst,
   }
   route.segments = std::move(result.segments);
   route.routed = true;
-  apply(route, +1);
+  graph_.applyRoute(route, +1);
   return true;
 }
 
@@ -287,12 +237,9 @@ RerouteBatchStats GlobalRouter::rerouteNets(const std::vector<db::NetId>& nets,
   stats.batches = static_cast<int>(batches.size());
   util::ThreadPool* workers = pool();
   std::atomic<int> failed{0};
-  std::vector<char> touched(tiles_ != nullptr ? tiles_->numTiles() : 0, 0);
   for (const auto& batch : batches) {
     CRP_OBS_HISTOGRAM("gr.par.batch_nets", batch.size());
-    if (tiles_ != nullptr) {
-      runTiledBatch(batch, mazeFirst, workers, failed, stats, touched);
-    } else if (workers == nullptr || batch.size() == 1) {
+    if (workers == nullptr || batch.size() == 1) {
       for (const db::NetId net : batch) {
         if (!rerouteNet(net, mazeFirst)) {
           failed.fetch_add(1, std::memory_order_relaxed);
@@ -319,88 +266,7 @@ RerouteBatchStats GlobalRouter::rerouteNets(const std::vector<db::NetId>& nets,
                            workers != nullptr ? workers->threadCount() : 1);
   CRP_OBS_GAUGE_SET("gr.par.efficiency",
                     slots > 0.0 ? std::min(1.0, stats.nets / slots) : 1.0);
-  if (tiles_ != nullptr) {
-    for (const char t : touched) stats.tilesUsed += t != 0 ? 1 : 0;
-    CRP_OBS_COUNT("gr.tile.local_nets", stats.tileLocalNets);
-    CRP_OBS_COUNT("gr.tile.boundary_nets", stats.boundaryNets);
-    CRP_OBS_GAUGE_SET("gr.tile.merge_seconds", stats.mergeSeconds);
-    CRP_OBS_GAUGE_SET(
-        "gr.tile.local_frac",
-        stats.nets > 0
-            ? static_cast<double>(stats.tileLocalNets) / stats.nets
-            : 1.0);
-  }
   return stats;
-}
-
-void GlobalRouter::runTiledBatch(const std::vector<db::NetId>& batch,
-                                 bool mazeFirst, util::ThreadPool* workers,
-                                 std::atomic<int>& failed,
-                                 RerouteBatchStats& stats,
-                                 std::vector<char>& touched) {
-  // Deterministic tile grouping: recompute each member's conflict rect
-  // exactly as planRerouteBatches did and ask the grid for a haloed
-  // tile that contains it.  Grouping depends only on geometry — never
-  // on schedule — so every thread count produces the same groups.
-  const int margin = maze_.boxMargin() + 1;
-  const int maxX = graph_.grid().countX() - 1;
-  const int maxY = graph_.grid().countY() - 1;
-  std::vector<std::vector<db::NetId>> groups(tiles_->numTiles());
-  std::vector<db::NetId> boundary;
-  for (const db::NetId net : batch) {
-    GCellRect rect = netExtent(net);
-    rect.expand(margin, maxX, maxY);
-    const int tile = tiles_->assign(rect);
-    if (tile >= 0) {
-      groups[tile].push_back(net);
-    } else {
-      boundary.push_back(net);
-    }
-  }
-  std::vector<int> usedTiles;
-  for (int t = 0; t < tiles_->numTiles(); ++t) {
-    if (!groups[t].empty()) usedTiles.push_back(t);
-  }
-  stats.tileLocalNets +=
-      static_cast<int>(batch.size()) - static_cast<int>(boundary.size());
-  stats.boundaryNets += static_cast<int>(boundary.size());
-
-  // Work units: one per tile group (runs under that tile's demand view
-  // + read overlay) plus one per boundary net (the global path).  The
-  // mix is safe at any schedule because batch members touch pairwise
-  // disjoint graph regions.
-  const std::size_t units = usedTiles.size() + boundary.size();
-  const auto runUnit = [&](std::size_t u) {
-    if (u < usedTiles.size()) {
-      const int tile = usedTiles[u];
-      TileDemandView& view = *tileViews_[tile];
-      RoutingGraph::OverlayScope overlay(graph_, view);
-      for (const db::NetId net : groups[tile]) {
-        if (!rerouteNetImpl(net, mazeFirst, &view)) {
-          failed.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    } else if (!rerouteNet(boundary[u - usedTiles.size()], mazeFirst)) {
-      failed.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-  if (workers == nullptr || units <= 1) {
-    for (std::size_t u = 0; u < units; ++u) runUnit(u);
-  } else {
-    workers->parallelFor(units, runUnit);
-  }
-
-  // Batch-boundary merge, fixed tile-index order on the calling
-  // thread.  Disjointness makes the merged values order-independent;
-  // the fixed order keeps even the floating-point operation sequence
-  // identical across schedules.
-  util::Stopwatch mergeWatch;
-  for (const int tile : usedTiles) {
-    tileViews_[tile]->mergeInto(graph_);
-    touched[tile] = 1;
-  }
-  stats.mergeSeconds += mergeWatch.seconds();
-  CRP_OBS_COUNT("gr.tile.merges", usedTiles.size());
 }
 
 double GlobalRouter::netRouteCost(db::NetId net) const {

@@ -19,7 +19,6 @@
 // DESIGN.md §6 "Parallel conflict-free RRR batching".
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -27,7 +26,6 @@
 #include "groute/maze_route.hpp"
 #include "groute/pattern_route.hpp"
 #include "groute/routing_graph.hpp"
-#include "groute/tile.hpp"
 #include "lefdef/guide_io.hpp"
 #include "util/thread_pool.hpp"
 
@@ -58,24 +56,7 @@ struct GlobalRouterOptions {
   /// which still forces serial in-place execution.  Must outlive the
   /// router.
   util::ThreadPool* sharedPool = nullptr;
-  /// Chip-tile spatial decomposition of batch reroutes
-  /// (docs/tiling.md): the GCell grid is cut into tileRows x tileCols
-  /// tiles and each batch member whose conflict bbox fits one tile's
-  /// haloed rect runs grouped on that tile's worker, writing demand
-  /// into a region-local view merged at the batch boundary; members
-  /// spanning tiles run on the existing global path.  1 x 1 disables
-  /// tiling.  Value-exact: routes, demand maps and fingerprints are
-  /// bit-identical for every grid at every thread count.
-  int tileRows = 1;
-  int tileCols = 1;
-  /// Halo width in gcells around each tile (TileGridSpec::haloGcells);
-  /// -1 = the planner's conflict margin (mazeMargin + 1).
-  int haloGcells = -1;
 };
-
-// GCellRect and overlapsAny() live in groute/tile.hpp (included above)
-// now that the tile decomposition shares them with the batch planner
-// and the ECO engine.
 
 struct GlobalRouteStats {
   geom::Coord wirelengthDbu = 0;
@@ -93,11 +74,6 @@ struct RerouteBatchStats {
   int batches = 0;    ///< conflict-free batches executed
   int conflicts = 0;  ///< bbox-overlap rejections during greedy coloring
   int failed = 0;     ///< nets whose reroute failed (old route restored)
-  // Tile decomposition outcome (all zero when tiling is off).
-  int tileLocalNets = 0;  ///< nets routed inside a tile's demand view
-  int boundaryNets = 0;   ///< tile-spanning nets on the global path
-  int tilesUsed = 0;      ///< distinct tiles that received work
-  double mergeSeconds = 0.0;  ///< wall time of batch-boundary merges
 };
 
 class GlobalRouter {
@@ -171,19 +147,6 @@ class GlobalRouter {
   /// 0 = hardware); value-exact per the determinism contract.
   void setRouterThreads(int threads);
 
-  /// Reconfigures the tile decomposition (rows x cols, halo gcells;
-  /// halo -1 = auto).  1 x 1 disables tiling.  Value-exact per the
-  /// determinism contract — any grid yields bit-identical results.
-  void setTileGrid(int rows, int cols, int haloGcells = -1);
-
-  /// The active tile decomposition, or nullptr when tiling is off.
-  const TileGrid* tileGrid() const { return tiles_.get(); }
-
-  /// The per-tile demand views (empty when tiling is off).  Outside a
-  /// rerouteNets call every view is quiescent: no pending ops, all
-  /// delta slots zero — the tile-partition-exactness audit invariant.
-  std::vector<const TileDemandView*> tileViews() const;
-
   /// Cost of a net's committed route at the live edge prices; the
   /// criticality metric of Alg. 1.  Zero for unrouted nets.
   double netRouteCost(db::NetId net) const;
@@ -210,20 +173,6 @@ class GlobalRouter {
   /// the configuration is serial.
   util::ThreadPool* pool();
 
-  /// rerouteNet with an optional tile view as the demand write sink
-  /// (null: write the shared graph — the untiled path).
-  bool rerouteNetImpl(db::NetId net, bool mazeFirst, TileDemandView* view);
-
-  /// Executes one conflict-free batch under the tile decomposition:
-  /// deterministic tile grouping, one work unit per tile group plus
-  /// one per boundary net, then the fixed-order boundary merge.
-  void runTiledBatch(const std::vector<db::NetId>& batch, bool mazeFirst,
-                     util::ThreadPool* workers, std::atomic<int>& failed,
-                     RerouteBatchStats& stats, std::vector<char>& touched);
-
-  /// (Re)builds tiles_ and the per-tile views from options_.
-  void rebuildTiles();
-
   const db::Database& db_;
   GlobalRouterOptions options_;
   RoutingGraph graph_;
@@ -231,8 +180,6 @@ class GlobalRouter {
   MazeRouter maze_;
   std::vector<NetRoute> routes_;
   std::unique_ptr<util::ThreadPool> pool_;
-  std::unique_ptr<TileGrid> tiles_;  ///< null when tiling is off
-  std::vector<std::unique_ptr<TileDemandView>> tileViews_;
   int reroutedNets_ = 0;
 };
 

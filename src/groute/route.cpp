@@ -7,6 +7,13 @@
 
 namespace crp::groute {
 
+bool overlapsAny(const GCellRect& rect, const std::vector<GCellRect>& regions) {
+  for (const GCellRect& region : regions) {
+    if (rect.overlaps(region)) return true;
+  }
+  return false;
+}
+
 RouteSegment normalized(const RouteSegment& seg) {
   if (seg.b < seg.a) return RouteSegment{seg.b, seg.a};
   return seg;

@@ -1,6 +1,7 @@
 // Global-route geometry: 3D gcell points and per-net route trees.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "db/design.hpp"
@@ -41,6 +42,61 @@ struct NetRoute {
     routed = false;
   }
 };
+
+/// Inclusive gcell rectangle (layer-agnostic).  The currency of the
+/// conflict-free batch planner and the ECO engine's dirty-region
+/// bookkeeping: a net's extent, a delta's dirty region and a cache
+/// entry's terminal bbox are all GCellRects, and "does this need
+/// attention" is an overlap test.
+struct GCellRect {
+  int xlo = 0, ylo = 0, xhi = -1, yhi = -1;  // empty by default
+
+  bool empty() const { return xhi < xlo || yhi < ylo; }
+
+  void cover(int x, int y) {
+    if (empty()) {
+      xlo = xhi = x;
+      ylo = yhi = y;
+      return;
+    }
+    xlo = std::min(xlo, x);
+    ylo = std::min(ylo, y);
+    xhi = std::max(xhi, x);
+    yhi = std::max(yhi, y);
+  }
+
+  void cover(const GCellRect& o) {
+    if (o.empty()) return;
+    cover(o.xlo, o.ylo);
+    cover(o.xhi, o.yhi);
+  }
+
+  bool overlaps(const GCellRect& o) const {
+    if (empty() || o.empty()) return false;
+    return xlo <= o.xhi && o.xlo <= xhi && ylo <= o.yhi && o.ylo <= yhi;
+  }
+
+  /// Grows by `margin` gcells on every side, clamped to [0, max].
+  void expand(int margin, int maxX, int maxY) {
+    if (empty()) return;
+    xlo = std::max(0, xlo - margin);
+    ylo = std::max(0, ylo - margin);
+    xhi = std::min(maxX, xhi + margin);
+    yhi = std::min(maxY, yhi + margin);
+  }
+
+  long area() const {
+    if (empty()) return 0;
+    return static_cast<long>(xhi - xlo + 1) * (yhi - ylo + 1);
+  }
+
+  int width() const { return empty() ? 0 : xhi - xlo + 1; }
+  int height() const { return empty() ? 0 : yhi - ylo + 1; }
+};
+
+/// True when `rect` overlaps any rect of `regions` (the dirty-region
+/// membership test of the ECO engine).
+bool overlapsAny(const GCellRect& rect, const std::vector<GCellRect>& regions);
 
 /// Normalizes a segment so a <= b (lexicographic), making route
 /// comparison and demand bookkeeping order-independent.

@@ -5,8 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "groute/tile.hpp"
-
 namespace crp::groute {
 
 namespace {
@@ -250,23 +248,9 @@ double RoutingGraph::demand(const WireEdge& e) const {
   const GPoint dst = layerDir(e.layer) == LayerDir::kHorizontal
                          ? GPoint{e.layer, e.x + 1, e.y}
                          : GPoint{e.layer, e.x, e.y + 1};
-  // Through the accessors, not the raw arrays: a thread routing a tile
-  // group reads the shared state plus its view's deltas (OverlayScope).
   const double viaEstimate =
       std::sqrt((viaCount(src) + viaCount(dst)) / 2.0);
   return wireUsage(e) + fixedUsage(e) + config_.beta * viaEstimate;
-}
-
-double RoutingGraph::overlayWireDelta(const WireEdge& e) const {
-  return tlOverlayView_->wireDelta(e);
-}
-
-double RoutingGraph::overlayViaDelta(const ViaEdge& e) const {
-  return tlOverlayView_->viaDelta(e);
-}
-
-int RoutingGraph::overlayViaCountDelta(const GPoint& p) const {
-  return tlOverlayView_->viaCountDelta(p);
 }
 
 namespace {

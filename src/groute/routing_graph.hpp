@@ -21,8 +21,6 @@
 
 namespace crp::groute {
 
-class TileDemandView;
-
 /// Cost-model parameters (paper values in DESIGN.md §5).
 struct CostConfig {
   double beta = 1.5;      ///< via-demand weight in Eq. 9
@@ -66,52 +64,16 @@ class RoutingGraph {
   const CostConfig& config() const { return config_; }
   void setConfig(const CostConfig& config) { config_ = config; }
 
-  // ---- tile read overlay ---------------------------------------------------
-
-  /// RAII installation of a tile demand view as this thread's read
-  /// overlay: while in scope, the demand accessors below return the
-  /// shared state plus the view's local deltas — exactly what the
-  /// untiled path would read, since a tile-local net's own rip-up and
-  /// the commits of earlier same-tile batch members live only in the
-  /// view until the batch-boundary merge (docs/tiling.md).  Scopes are
-  /// per-thread and non-nesting by construction (one tile group per
-  /// work unit); reads of *other* graphs are unaffected.
-  class OverlayScope {
-   public:
-    OverlayScope(const RoutingGraph& graph, const TileDemandView& view) {
-      tlOverlayGraph_ = &graph;
-      tlOverlayView_ = &view;
-    }
-    ~OverlayScope() {
-      tlOverlayGraph_ = nullptr;
-      tlOverlayView_ = nullptr;
-    }
-    OverlayScope(const OverlayScope&) = delete;
-    OverlayScope& operator=(const OverlayScope&) = delete;
-  };
-
   // ---- capacity / demand --------------------------------------------------
 
   double capacity(const WireEdge& e) const { return wireCap_[wireIndex(e)]; }
-  double wireUsage(const WireEdge& e) const {
-    double v = wireUse_[wireIndex(e)];
-    if (tlOverlayGraph_ == this) v += overlayWireDelta(e);
-    return v;
-  }
+  double wireUsage(const WireEdge& e) const { return wireUse_[wireIndex(e)]; }
   double fixedUsage(const WireEdge& e) const {
     return wireFixed_[wireIndex(e)];
   }
-  int viaCount(const GPoint& node) const {
-    int v = viaCount_[nodeIndex(node)];
-    if (tlOverlayGraph_ == this) v += overlayViaCountDelta(node);
-    return v;
-  }
+  int viaCount(const GPoint& node) const { return viaCount_[nodeIndex(node)]; }
   double viaCapacity(const ViaEdge& e) const { return viaCap_[viaIndex(e)]; }
-  double viaUsage(const ViaEdge& e) const {
-    double v = viaUse_[viaIndex(e)];
-    if (tlOverlayGraph_ == this) v += overlayViaDelta(e);
-    return v;
-  }
+  double viaUsage(const ViaEdge& e) const { return viaUse_[viaIndex(e)]; }
 
   /// Fraction of the edge's two adjacent gcells covered by obstructions
   /// of *fixed* cells (macro blocks).  1.0 means both gcells are fully
@@ -198,17 +160,6 @@ class RoutingGraph {
  private:
   void buildCapacities(const db::Database& db);
   void chargeFixedUsage(const db::Database& db);
-
-  // Out of line so this header does not depend on tile.hpp.
-  double overlayWireDelta(const WireEdge& e) const;
-  double overlayViaDelta(const ViaEdge& e) const;
-  int overlayViaCountDelta(const GPoint& p) const;
-
-  // The active tile overlay of the *current thread* (null almost
-  // always).  Guarded by the graph identity so a thread routing for
-  // one session never sees another graph's deltas.
-  inline static thread_local const RoutingGraph* tlOverlayGraph_ = nullptr;
-  inline static thread_local const TileDemandView* tlOverlayView_ = nullptr;
 
   db::GCellGrid grid_;
   int numLayers_ = 0;

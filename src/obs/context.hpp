@@ -52,8 +52,8 @@ class ObsContext {
 
   /// The process-default context — what ambient resolution falls back
   /// to outside any ObsContextScope.  Its logger *is*
-  /// util::Logger::instance(), so legacy setStream/setSink callers
-  /// keep steering default-context output.
+  /// util::Logger::instance(), so setSink() on that logger steers
+  /// default-context output.
   static ObsContext& defaultContext();
 
   /// Monotonic, never reused, never 0 (0 is the site caches' "empty").

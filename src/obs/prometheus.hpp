@@ -1,7 +1,7 @@
 // Prometheus text exposition (format version 0.0.4) for the metrics
 // tier.
 //
-// The registry's dot-separated instrument names ("gr.tile.local_nets",
+// The registry's dot-separated instrument names ("gr.par.batch_nets",
 // "serve.op.run.latency") are sanitized into the Prometheus name
 // grammar [a-zA-Z_:][a-zA-Z0-9_:]* by mapping every illegal character
 // to '_' (and prefixing '_' when the first character is a digit).

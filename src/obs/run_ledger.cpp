@@ -132,10 +132,6 @@ Json RunLedgerEntry::toJson() const {
   root.set("phases", std::move(phaseObj));
 
   root.set("cacheHitRate", cacheHitRate);
-  Json tiles = Json::object();
-  tiles.set("rows", tileRows);
-  tiles.set("cols", tileCols);
-  root.set("tiles", std::move(tiles));
   root.set("wallSeconds", wallSeconds);
   return root;
 }
@@ -182,9 +178,6 @@ RunLedgerEntry RunLedgerEntry::fromJson(const Json& json) {
   }
 
   entry.cacheHitRate = json.at("cacheHitRate").asDouble();
-  const Json& tiles = json.at("tiles");
-  entry.tileRows = static_cast<int>(tiles.at("rows").asInt());
-  entry.tileCols = static_cast<int>(tiles.at("cols").asInt());
   entry.wallSeconds = json.at("wallSeconds").asDouble();
   return entry;
 }

@@ -15,7 +15,7 @@
 //
 // Entry schema v1.  Flow entries (kind run/eco/serve-run/serve-eco)
 // carry the QoR block, per-phase wall times, the pricing-cache reuse
-// rate, the tile split, and a 64-bit FNV-1a digest of the RunReport
+// rate, and a 64-bit FNV-1a digest of the RunReport
 // fingerprint; bench entries (kind bench) instead carry the numeric
 // fields of one BENCH_*.json under "metrics".  All entries carry
 // provenance: git SHA, dirty flag + dirty-file count, host name, CPU
@@ -70,8 +70,6 @@ struct RunLedgerEntry {
   RunReport::RouterStats qor;
   std::vector<RunReport::PhaseStat> phases;  ///< flow order
   double cacheHitRate = 0.0;
-  int tileRows = 1;
-  int tileCols = 1;
   double wallSeconds = 0.0;  ///< total of the phase wall times
 
   /// Bench entries: the numeric fields of one BENCH_*.json (object of
@@ -86,7 +84,7 @@ struct RunLedgerEntry {
 
 /// Fills a flow entry from a finished run: QoR, phases, cache reuse,
 /// fingerprint digest, provenance, and the current wall clock.  The
-/// caller sets kind/design/optionsDigest/tile split before appending.
+/// caller sets kind/design/optionsDigest before appending.
 RunLedgerEntry makeRunLedgerEntry(const RunReport& report);
 
 /// The ledger file.  Append-only; loading never mutates.

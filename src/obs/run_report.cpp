@@ -208,12 +208,11 @@ Json RunReport::fingerprint() const {
   // from the seeded serial RNG; overflow/displacement are value-exact
   // across thread counts), so they join the fingerprint whenever
   // present.  Absent when snapshots are off, which keeps pre-spatial
-  // golden fingerprints byte-identical.  toJson(false) drops the tile
-  // scheduling block, whose values depend on the configured grid.
+  // golden fingerprints byte-identical.
   if (!timeline.empty()) {
     Json timelineArr = Json::array();
     for (const TimelineRecord& record : timeline) {
-      timelineArr.append(record.toJson(false));
+      timelineArr.append(record.toJson());
     }
     fp.set("timeline", std::move(timelineArr));
   }

@@ -5,7 +5,7 @@
 
 namespace crp::obs {
 
-Json TimelineRecord::toJson(bool includeSchedulingFields) const {
+Json TimelineRecord::toJson() const {
   Json record = Json::object();
   record.set("iteration", iteration);
   record.set("criticalCells", criticalCells);
@@ -24,13 +24,6 @@ Json TimelineRecord::toJson(bool includeSchedulingFields) const {
   record.set("overflowedEdgesBefore", overflowedEdgesBefore);
   record.set("overflowedEdgesAfter", overflowedEdgesAfter);
   if (eco) record.set("eco", true);
-  if (includeSchedulingFields && tiled) {
-    record.set("tiled", true);
-    record.set("tileLocalNets", tileLocalNets);
-    record.set("tileBoundaryNets", tileBoundaryNets);
-    record.set("tilesUsed", tilesUsed);
-    record.set("tileMergeSeconds", tileMergeSeconds);
-  }
   return record;
 }
 
@@ -56,15 +49,6 @@ TimelineRecord TimelineRecord::fromJson(const Json& json) {
   record.overflowedEdgesAfter =
       static_cast<int>(json.at("overflowedEdgesAfter").asInt());
   if (const Json* eco = json.find("eco")) record.eco = eco->asBool();
-  if (const Json* tiled = json.find("tiled")) {
-    record.tiled = tiled->asBool();
-    record.tileLocalNets =
-        static_cast<int>(json.at("tileLocalNets").asInt());
-    record.tileBoundaryNets =
-        static_cast<int>(json.at("tileBoundaryNets").asInt());
-    record.tilesUsed = static_cast<int>(json.at("tilesUsed").asInt());
-    record.tileMergeSeconds = json.at("tileMergeSeconds").asDouble();
-  }
   return record;
 }
 

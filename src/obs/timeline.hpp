@@ -51,22 +51,7 @@ struct TimelineRecord {
   /// to the pre-ECO format.
   bool eco = false;
 
-  /// Chip-tile scheduling outcome of the UD batch reroute
-  /// (docs/tiling.md).  These describe HOW the iteration was
-  /// scheduled, not WHAT it computed: they depend on the configured
-  /// tile grid (and mergeSeconds on the wall clock), so toJson(false)
-  /// — the fingerprint form — omits them, keeping fingerprints
-  /// bit-identical across tile grids.  Serialized only when tiled, so
-  /// untiled reports keep the pre-tiling shape.
-  bool tiled = false;
-  int tileLocalNets = 0;
-  int tileBoundaryNets = 0;
-  int tilesUsed = 0;
-  double tileMergeSeconds = 0.0;
-
-  /// `includeSchedulingFields` controls the tile block above; the
-  /// fingerprint serializer passes false.
-  Json toJson(bool includeSchedulingFields = true) const;
+  Json toJson() const;
   static TimelineRecord fromJson(const Json& json);
 };
 

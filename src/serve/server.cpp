@@ -234,12 +234,6 @@ void Server::appendLedgerEntry(const std::string& op, Session& session,
     optionsJson.set(key, value);
   }
   entry.optionsDigest = obs::fnv1a64Hex(optionsJson.dump());
-  if (const obs::Json* tileRows = request.find("tileRows")) {
-    entry.tileRows = static_cast<int>(tileRows->asInt());
-  }
-  if (const obs::Json* tileCols = request.find("tileCols")) {
-    entry.tileCols = static_cast<int>(tileCols->asInt());
-  }
   std::string error;
   obs::RunLedger ledger(options_.ledgerPath);
   if (!ledger.append(entry, &error) && options_.verbose) {

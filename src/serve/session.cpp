@@ -71,9 +71,6 @@ core::CrpOptions crpOptionsFromParams(Session& session,
   options.gamma = numberOr(params, "gamma", options.gamma);
   options.seed = static_cast<std::uint64_t>(numberOr(params, "seed", 1));
   options.snapshots = numberOr(params, "snapshots", 1) > 0;
-  options.tileRows = static_cast<int>(numberOr(params, "tileRows", 1));
-  options.tileCols = static_cast<int>(numberOr(params, "tileCols", 1));
-  options.haloGcells = static_cast<int>(numberOr(params, "haloGcells", -1));
   options.obsContext = &session.context;
   options.sharedPool = session.pool;
   return options;

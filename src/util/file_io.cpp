@@ -9,6 +9,7 @@
 #include <system_error>
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -100,6 +101,14 @@ bool appendLineAtomic(const std::string& path, std::string_view line,
   if (fd < 0) {
     setError(error, "cannot open " + path + " for append: " +
                         std::strerror(errno));
+    return false;
+  }
+  // Exclusive advisory lock for the probe + write, released by close():
+  // without it the probe below can catch a concurrent appender's line
+  // half-written and "repair" it with a stray newline.
+  if (::flock(fd, LOCK_EX) != 0) {
+    setError(error, "cannot lock " + path + ": " + std::strerror(errno));
+    ::close(fd);
     return false;
   }
   // Repair a torn tail from a crashed earlier append: if the last byte

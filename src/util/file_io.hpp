@@ -44,7 +44,9 @@ bool writeFileAtomic(const std::string& path, std::string_view content,
 /// writers.  A crash can only ever truncate the final line (readers
 /// skip it); a previous crash's torn tail is repaired by prefixing a
 /// newline when the file does not end in one, so the next record never
-/// glues onto half a line.  Returns false with *error set on any
+/// glues onto half a line.  An exclusive flock() held from open to
+/// close keeps that tail probe from seeing a concurrent appender's
+/// line half-written.  Returns false with *error set on any
 /// failure; the file is never left with a record half-applied by a
 /// *successful* call.
 bool appendLineAtomic(const std::string& path, std::string_view line,

@@ -43,12 +43,6 @@ std::shared_ptr<std::ostream> Logger::sink() const {
   return os_;
 }
 
-void Logger::setStream(std::ostream* os) {
-  // Non-owning adoption: aliasing shared_ptr with a no-op deleter.
-  setSink(os != nullptr ? std::shared_ptr<std::ostream>(os, [](std::ostream*) {})
-                        : nullptr);
-}
-
 void Logger::write(LogLevel level, std::string_view message) {
   std::lock_guard lock(mutex_);
   std::ostream& os = os_ != nullptr ? *os_ : std::clog;

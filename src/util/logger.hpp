@@ -17,8 +17,7 @@
 // Sink ownership: the logger holds its sink as a shared_ptr, so a
 // stream handed over with setSink() stays alive for as long as any
 // write could still reach it — swapping sinks while other threads log
-// is safe.  setStream() remains as a deprecated non-owning shim for
-// legacy callers with static-lifetime streams.
+// is safe.
 #pragma once
 
 #include <atomic>
@@ -73,13 +72,6 @@ class Logger {
   /// more; pass nullptr to restore the default.
   void setSink(std::shared_ptr<std::ostream> os);
   std::shared_ptr<std::ostream> sink() const;
-
-  /// Deprecated: non-owning setSink().  The caller must guarantee *os
-  /// outlives every logging call that could still observe it — with
-  /// concurrent writers that is exactly the dangling-sink bug setSink()
-  /// exists to prevent.  Kept so existing single-threaded callers with
-  /// static/stack streams keep compiling; prefer setSink().
-  void setStream(std::ostream* os);
 
   bool enabled(LogLevel level) const {
     return static_cast<int>(level) >=

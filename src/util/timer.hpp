@@ -1,14 +1,7 @@
-// Wall-clock timing utilities.
-//
-// The CR&P flow reports per-phase runtime (paper Fig. 2 / Fig. 3), so
-// phases accumulate elapsed time into a PhaseTimer registry keyed by
-// phase name.  A ScopedTimer charges its enclosing scope to one phase.
+// Wall-clock timing utility.
 #pragma once
 
 #include <chrono>
-#include <map>
-#include <string>
-#include <vector>
 
 namespace crp::util {
 
@@ -27,55 +20,6 @@ class Stopwatch {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates elapsed seconds per named phase.  Not thread-safe; the
-/// flow drives phases from the main thread.
-class PhaseTimer {
- public:
-  /// Adds `seconds` to `phase`'s total.
-  void charge(const std::string& phase, double seconds);
-
-  /// Total accumulated seconds for `phase`.  Asking for a phase that
-  /// was never charged is almost always a typo in the phase name:
-  /// debug builds assert; release builds return 0.  Use has() first
-  /// when the phase is genuinely optional.
-  double total(const std::string& phase) const;
-
-  /// True when `phase` has been charged at least once.
-  bool has(const std::string& phase) const;
-
-  /// Sum over all phases.
-  double grandTotal() const;
-
-  /// Phases in first-charged order.
-  const std::vector<std::string>& phases() const { return order_; }
-
-  /// Percentage share of `phase` in the grand total (0 when empty).
-  double percent(const std::string& phase) const;
-
-  void clear();
-
- private:
-  std::map<std::string, double> totals_;
-  std::vector<std::string> order_;
-};
-
-/// RAII guard: charges the time between construction and destruction
-/// to `phase` of `timer`.
-class ScopedTimer {
- public:
-  ScopedTimer(PhaseTimer& timer, std::string phase)
-      : timer_(timer), phase_(std::move(phase)) {}
-  ~ScopedTimer() { timer_.charge(phase_, watch_.seconds()); }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  PhaseTimer& timer_;
-  std::string phase_;
-  Stopwatch watch_;
 };
 
 }  // namespace crp::util

@@ -239,39 +239,6 @@ TEST(DbAuditorMutation, SkewedDemandCaughtByDemandExactnessOnly) {
   EXPECT_GE(report.countFor(Invariant::kDemandExactness), 2);
 }
 
-// An applyRouteLocal that never merged leaves pending ops and delta
-// residue in a tile's demand view: a tile-partition-exactness failure
-// and nothing else (the shared graph was never touched, so demand and
-// routes stay coherent).
-TEST(DbAuditorMutation, UnmergedTileViewCaughtByTilePartitionExactnessOnly) {
-  const auto db = crp::testing::makeGridDatabase(12, 6);
-  groute::GlobalRouter router(db);
-  router.setTileGrid(2, 2);
-  router.run();
-  ASSERT_NE(router.tileGrid(), nullptr);
-  {
-    const AuditReport clean = DbAuditor(db, &router).auditAll();
-    EXPECT_CLEAN_AUDIT(clean);
-    EXPECT_EQ(clean.invariantsChecked, 9);  // the router-attached 8 + tiles
-  }
-
-  NetRoute phantom;
-  phantom.routed = true;
-  if (router.graph().layerDir(0) == db::LayerDir::kHorizontal) {
-    phantom.segments.push_back({GPoint{0, 0, 0}, GPoint{0, 1, 0}});
-  } else {
-    phantom.segments.push_back({GPoint{0, 0, 0}, GPoint{0, 0, 1}});
-  }
-  auto* view = const_cast<groute::TileDemandView*>(router.tileViews().front());
-  view->applyRouteLocal(phantom, +1);
-
-  const AuditReport report = DbAuditor(db, &router).auditAll();
-  EXPECT_TRUE(report.onlyFailure(Invariant::kTilePartitionExactness))
-      << report.summary();
-  // The pending op and the touched delta slot both surface.
-  EXPECT_GE(report.countFor(Invariant::kTilePartitionExactness), 2);
-}
-
 // Swapping a committed route for a straight shot through the macro's
 // interior (demand maps compensated, so the route/demand contracts
 // still hold and the route still connects its terminals) is a

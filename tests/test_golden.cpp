@@ -12,12 +12,14 @@
 // which makes this test write the golden instead of asserting it).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "bmgen/generator.hpp"
+#include "check/audit.hpp"
 #include "crp/framework.hpp"
 #include "db/legality.hpp"
 #include "groute/global_router.hpp"
@@ -74,9 +76,11 @@ bmgen::BenchmarkSpec multiRowSpec() {
 /// deterministic fingerprint of the run report.  `routerThreads`
 /// drives the conflict-free batch reroute engine (GR RRR rounds and
 /// the UD phase); the determinism contract says it is value-exact.
+/// The end state must pass every audit; `state`, when given, receives
+/// its check::flowFingerprint (cell positions, routes, totals).
 obs::Json runFingerprint(const bmgen::BenchmarkSpec& spec, int threads,
-                         int routerThreads = 1, int tileRows = 1,
-                         int tileCols = 1) {
+                         int routerThreads = 1,
+                         std::uint64_t* state = nullptr) {
   obs::EnabledScope enabled(true);
   auto db = bmgen::generateBenchmark(spec);
   groute::GlobalRouterOptions routerOptions;
@@ -88,11 +92,12 @@ obs::Json runFingerprint(const bmgen::BenchmarkSpec& spec, int threads,
   options.seed = 11;
   options.threads = threads;
   options.routerThreads = routerThreads;
-  options.tileRows = tileRows;
-  options.tileCols = tileCols;
   core::CrpFramework framework(db, router, options);
   framework.run();
   EXPECT_TRUE(db::isPlacementLegal(db));
+  const check::AuditReport audit = check::DbAuditor(db, &router).auditAll();
+  EXPECT_TRUE(audit.clean()) << spec.name << ":\n" << audit.summary();
+  if (state != nullptr) *state = check::flowFingerprint(db, router);
   return framework.runReport().fingerprint();
 }
 
@@ -100,12 +105,19 @@ std::string goldenPath() {
   return std::string(CRP_GOLDEN_DIR) + "/crp_small_fingerprint.json";
 }
 
-/// Shared body of the scenario goldens: router-thread independence
-/// asserted first, then update-or-compare against `goldenFile`.
+/// Shared body of the scenario goldens: router-thread independence of
+/// the end state and the report asserted first, then update-or-compare
+/// against `goldenFile`.
 void checkScenarioGolden(const bmgen::BenchmarkSpec& spec,
                          const std::string& goldenFile) {
-  const obs::Json serial = runFingerprint(spec, 1, /*routerThreads=*/1);
-  const obs::Json parallel = runFingerprint(spec, 1, /*routerThreads=*/8);
+  std::uint64_t serialState = 0;
+  std::uint64_t parallelState = 0;
+  const obs::Json serial =
+      runFingerprint(spec, 1, /*routerThreads=*/1, &serialState);
+  const obs::Json parallel =
+      runFingerprint(spec, 1, /*routerThreads=*/8, &parallelState);
+  EXPECT_EQ(serialState, parallelState)
+      << spec.name << ": --router-threads 1 vs 8 end states diverge";
   ASSERT_EQ(serial, parallel)
       << spec.name << ": --router-threads 1 vs 8 fingerprints diverge:\n"
       << serial.dump(2) << "\nvs\n"
@@ -176,9 +188,14 @@ TEST(Golden, RouterThreadCountIndependence) {
   GTEST_SKIP() << "golden fingerprints need the observability counters "
                   "(-DCRP_OBS=ON)";
 #endif
-  const obs::Json serial = runFingerprint(goldenSpec(), 1, /*routerThreads=*/1);
+  std::uint64_t serialState = 0;
+  std::uint64_t parallelState = 0;
+  const obs::Json serial =
+      runFingerprint(goldenSpec(), 1, /*routerThreads=*/1, &serialState);
   const obs::Json parallel =
-      runFingerprint(goldenSpec(), 1, /*routerThreads=*/8);
+      runFingerprint(goldenSpec(), 1, /*routerThreads=*/8, &parallelState);
+  EXPECT_EQ(serialState, parallelState)
+      << "--router-threads 1 vs 8 end states diverge";
   ASSERT_EQ(serial, parallel)
       << "--router-threads 1 vs 8 fingerprints diverge:\n"
       << serial.dump(2) << "\nvs\n"
@@ -197,40 +214,6 @@ TEST(Golden, RouterThreadCountIndependence) {
       << "parallel-reroute fingerprint drifted from golden.\ngolden:\n"
       << golden.dump(2) << "\ncurrent:\n"
       << parallel.dump(2);
-}
-
-// The chip-tile decomposition (docs/tiling.md) must also be value-
-// exact against the same golden: tiling the UD reroutes, GCP windows
-// and ECC pricing over a 2x2 (and 1x8) grid at 8 router threads is a
-// scheduling refinement, so the seed fingerprint stays byte-identical
-// with tiling on.
-TEST(Golden, TileGridIndependence) {
-#ifdef CRP_OBS_DISABLED
-  GTEST_SKIP() << "golden fingerprints need the observability counters "
-                  "(-DCRP_OBS=ON)";
-#endif
-  const obs::Json tiled2x2 =
-      runFingerprint(goldenSpec(), 1, /*routerThreads=*/8, 2, 2);
-  const obs::Json tiled1x8 =
-      runFingerprint(goldenSpec(), 1, /*routerThreads=*/8, 1, 8);
-  ASSERT_EQ(tiled2x2, tiled1x8)
-      << "2x2 vs 1x8 tile grids diverge:\n"
-      << tiled2x2.dump(2) << "\nvs\n"
-      << tiled1x8.dump(2);
-
-  if (std::getenv("CRP_UPDATE_GOLDENS") != nullptr) {
-    GTEST_SKIP() << "golden handled by CrpFlowFingerprintMatchesGolden";
-  }
-  std::ifstream in(goldenPath());
-  ASSERT_TRUE(in) << "missing golden file " << goldenPath()
-                  << " — run scripts/update_goldens.sh";
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const obs::Json golden = obs::Json::parse(buffer.str());
-  EXPECT_EQ(tiled2x2, golden)
-      << "tiled fingerprint drifted from the untiled golden.\ngolden:\n"
-      << golden.dump(2) << "\ncurrent:\n"
-      << tiled2x2.dump(2);
 }
 
 // Scenario goldens: the macro-heavy design (fixed blocks, hard-blocked
@@ -257,7 +240,8 @@ TEST(Golden, MixedHeightFlowMatchesGoldenAndIsThreadIndependent) {
 // The spatial tier obeys the same contract: heatmap snapshots are
 // exact sums over committed routes, so the delta-encoded series (and
 // the timeline-bearing report fingerprint) captured at 1 vs 8 router
-// threads must be byte-identical.  The snapshot-free fingerprint is
+// threads must be byte-identical — on the plain, macro-heavy and
+// mixed-height designs alike.  The snapshot-free fingerprint is
 // covered above; this test proves turning snapshots ON adds no
 // schedule dependence.
 TEST(Golden, SpatialSnapshotsAreRouterThreadIndependent) {
@@ -270,10 +254,11 @@ TEST(Golden, SpatialSnapshotsAreRouterThreadIndependent) {
     obs::Json fingerprint;
     std::size_t snapshots = 0;
   };
-  const auto runSpatial = [](int routerThreads) {
+  const auto runSpatial = [](const bmgen::BenchmarkSpec& spec,
+                             int routerThreads) {
     obs::EnabledScope enabled(true);
     obs::resetAll();
-    auto db = bmgen::generateBenchmark(goldenSpec());
+    auto db = bmgen::generateBenchmark(spec);
     groute::GlobalRouterOptions routerOptions;
     routerOptions.routerThreads = routerThreads;
     groute::GlobalRouter router(db, routerOptions);
@@ -293,18 +278,22 @@ TEST(Golden, SpatialSnapshotsAreRouterThreadIndependent) {
     return run;
   };
 
-  const SpatialRun serial = runSpatial(1);
-  const SpatialRun parallel = runSpatial(8);
-  EXPECT_EQ(serial.snapshots, 3u);  // post-gr + one per iteration (k=2)
-  EXPECT_EQ(serial.heatmaps, parallel.heatmaps)
-      << "heatmap series diverge between 1 and 8 router threads";
-  ASSERT_EQ(serial.fingerprint, parallel.fingerprint)
-      << "timeline-bearing fingerprints diverge:\n"
-      << serial.fingerprint.dump(2) << "\nvs\n"
-      << parallel.fingerprint.dump(2);
-  // The timeline joined the fingerprint (spatial tier on), so it must
-  // differ from the timeline-free golden — additive, not silent.
-  EXPECT_NE(serial.fingerprint.find("timeline"), nullptr);
+  for (const bmgen::BenchmarkSpec& spec :
+       {goldenSpec(), macroSpec(), multiRowSpec()}) {
+    SCOPED_TRACE(spec.name);
+    const SpatialRun serial = runSpatial(spec, 1);
+    const SpatialRun parallel = runSpatial(spec, 8);
+    EXPECT_EQ(serial.snapshots, 3u);  // post-gr + one per iteration (k=2)
+    EXPECT_EQ(serial.heatmaps, parallel.heatmaps)
+        << "heatmap series diverge between 1 and 8 router threads";
+    ASSERT_EQ(serial.fingerprint, parallel.fingerprint)
+        << "timeline-bearing fingerprints diverge:\n"
+        << serial.fingerprint.dump(2) << "\nvs\n"
+        << parallel.fingerprint.dump(2);
+    // The timeline joined the fingerprint (spatial tier on), so it must
+    // differ from the timeline-free golden — additive, not silent.
+    EXPECT_NE(serial.fingerprint.find("timeline"), nullptr);
+  }
 #endif
 }
 

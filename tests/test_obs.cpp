@@ -1067,29 +1067,36 @@ RunLedgerEntry sampleLedgerEntry(const char* kind, const char* design) {
   entry.kind = kind;
   entry.design = design;
   entry.optionsDigest = fnv1a64Hex("options");
-  entry.tileRows = 2;
-  entry.tileCols = 3;
   return entry;
 }
 
 TEST(RunLedger, EntryJsonRoundTrips) {
   const RunLedgerEntry entry = sampleLedgerEntry("run", "tiny");
-  const RunLedgerEntry parsed =
-      RunLedgerEntry::fromJson(Json::parse(entry.toJson().dump()));
-  EXPECT_EQ(parsed.kind, entry.kind);
-  EXPECT_EQ(parsed.design, entry.design);
-  EXPECT_EQ(parsed.gitSha, entry.gitSha);
-  EXPECT_EQ(parsed.dirty, entry.dirty);
-  EXPECT_EQ(parsed.dirtyFiles, entry.dirtyFiles);
-  EXPECT_EQ(parsed.seed, entry.seed);
-  EXPECT_EQ(parsed.fingerprintDigest, entry.fingerprintDigest);
-  EXPECT_EQ(parsed.qor.wirelengthDbu, entry.qor.wirelengthDbu);
-  EXPECT_EQ(parsed.qor.openNets, entry.qor.openNets);
-  ASSERT_EQ(parsed.phases.size(), entry.phases.size());
-  EXPECT_EQ(parsed.phases.front().name, entry.phases.front().name);
-  EXPECT_EQ(parsed.tileRows, 2);
-  EXPECT_EQ(parsed.tileCols, 3);
-  EXPECT_DOUBLE_EQ(parsed.wallSeconds, entry.wallSeconds);
+  // Flow lines written before the chip-tile decomposition was removed
+  // also carry a "tiles" object; old ledgers must keep loading.
+  Json legacy = entry.toJson();
+  Json tiles = Json::object();
+  tiles.set("rows", 1);
+  tiles.set("cols", 1);
+  legacy.set("tiles", std::move(tiles));
+  for (const Json& doc : {entry.toJson(), legacy}) {
+    SCOPED_TRACE(doc.dump());
+    const RunLedgerEntry parsed =
+        RunLedgerEntry::fromJson(Json::parse(doc.dump()));
+    EXPECT_EQ(parsed.kind, entry.kind);
+    EXPECT_EQ(parsed.design, entry.design);
+    EXPECT_EQ(parsed.gitSha, entry.gitSha);
+    EXPECT_EQ(parsed.dirty, entry.dirty);
+    EXPECT_EQ(parsed.dirtyFiles, entry.dirtyFiles);
+    EXPECT_EQ(parsed.seed, entry.seed);
+    EXPECT_EQ(parsed.optionsDigest, entry.optionsDigest);
+    EXPECT_EQ(parsed.fingerprintDigest, entry.fingerprintDigest);
+    EXPECT_EQ(parsed.qor.wirelengthDbu, entry.qor.wirelengthDbu);
+    EXPECT_EQ(parsed.qor.openNets, entry.qor.openNets);
+    ASSERT_EQ(parsed.phases.size(), entry.phases.size());
+    EXPECT_EQ(parsed.phases.front().name, entry.phases.front().name);
+    EXPECT_DOUBLE_EQ(parsed.wallSeconds, entry.wallSeconds);
+  }
 }
 
 TEST(RunLedger, FromJsonRejectsWrongSchemaVersion) {

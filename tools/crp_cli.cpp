@@ -411,8 +411,6 @@ int appendLedgerFromCli(const Args& args, const std::string& kind,
   entry.design = db.design().name;
   entry.optionsDigest =
       obs::fnv1a64Hex(core::optionsFingerprintJson(options).dump());
-  entry.tileRows = options.tileRows;
-  entry.tileCols = options.tileCols;
   obs::RunLedger ledger(ledgerIt->second);
   std::string error;
   if (!ledger.append(entry, &error)) {
@@ -431,7 +429,6 @@ int cmdRun(const Args& args) {
                  "[--gamma G] [--seed S] [--threads N] "
                  "[--router-threads N] [--cache 0|1] "
                  "[--delta 0|1] [--obs 0|1] "
-                 "[--tiles R,C] [--tile-halo N] "
                  "[--audit off|phase|paranoid] "
                  "[--snapshots 0|1] "
                  "[--trace-out trace.json] "
@@ -463,22 +460,6 @@ int cmdRun(const Args& args) {
   options.routerThreads = routerThreads;
   options.pricingCache = args.number("cache", 1) > 0;
   options.deltaPricing = args.number("delta", 1) > 0;
-  // --tiles R,C shards the UD reroutes, GCP windows, and ECC pricing
-  // over an R x C chip-tile grid (docs/tiling.md); --tile-halo widens
-  // the per-tile halo (-1 = conflict margin).  Value-exact: results
-  // are bit-identical for any grid at any thread count.
-  const auto tilesIt = args.flags.find("tiles");
-  if (tilesIt != args.flags.end()) {
-    const std::string& value = tilesIt->second;
-    const std::size_t comma = value.find(',');
-    if (comma == std::string::npos) {
-      std::cerr << "bad --tiles '" << value << "' (want R,C)\n";
-      return 2;
-    }
-    options.tileRows = std::atoi(value.c_str());
-    options.tileCols = std::atoi(value.substr(comma + 1).c_str());
-  }
-  options.haloGcells = static_cast<int>(args.number("tile-halo", -1));
   // --audit arms the in-flow invariant audits (docs/checking.md); a
   // violation aborts the run with the structured failure list.
   if (args.flags.count("audit") != 0) {

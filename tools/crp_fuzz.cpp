@@ -5,16 +5,12 @@
 //            [--min-cells N] [--max-cells N] [--router-threads N]
 //            [--level off|phase|paranoid] [--artifacts DIR]
 //            [--no-minimize] [--eco 1] [--macros N] [--multi-row F]
-//            [--tiles R,C]
 //       Run a campaign over seeds [S, S+N).  Exit 0 when every seed
 //       passes (clean audits, bit-identical fingerprints across the
 //       paired configurations), 1 otherwise.  --eco 1 appends the
 //       eco-vs-scratch paired leg to every seed.  --macros N draws
 //       [1,N] fixed macro blocks per seed; --multi-row F draws a
 //       multi-row cell fraction from [0.05,F] (docs/scenarios.md).
-//       --tiles R,C appends the tiled-RxC paired leg (docs/tiling.md):
-//       the chip-tile decomposition at the rt-N thread count, required
-//       to match the serial fingerprints exactly.
 //
 //   crp_fuzz --replay SEED [--cells N] [--k K] [...]
 //       Re-run one seed, optionally at a minimized size — the command
@@ -89,7 +85,7 @@ int main(int argc, char** argv) {
               << "                [--min-cells N] [--max-cells N]\n"
               << "                [--router-threads N] [--artifacts DIR]\n"
               << "                [--level off|phase|paranoid]\n"
-              << "                [--macros N] [--multi-row F] [--tiles R,C]\n"
+              << "                [--macros N] [--multi-row F]\n"
               << "                [--no-minimize 1] [--eco 1] [--replay SEED "
                  "[--cells N]]\n";
     return 2;
@@ -107,16 +103,6 @@ int main(int argc, char** argv) {
   options.ecoLeg = args.number("eco", 0) != 0;
   options.macroCount = static_cast<int>(args.number("macros", 0));
   options.multiRowFrac = args.number("multi-row", 0.0);
-  if (args.has("tiles")) {
-    const std::string& value = args.flags.at("tiles");
-    const std::size_t comma = value.find(',');
-    if (comma == std::string::npos) {
-      std::cerr << "bad --tiles '" << value << "' (want R,C)\n";
-      return 2;
-    }
-    options.tileRows = std::atoi(value.c_str());
-    options.tileCols = std::atoi(value.substr(comma + 1).c_str());
-  }
   if (args.has("artifacts")) options.artifactDir = args.flags.at("artifacts");
   if (args.has("level")) {
     const auto level = check::auditLevelFromString(args.flags.at("level"));
