@@ -38,8 +38,7 @@ int main() {
       options.iterations = 10;
       options.historyDamping = damping;
       core::CrpFramework framework(db, router, options);
-      const auto report = framework.run();
-      return std::make_pair(report.totalMoves,
+      return std::make_pair(framework.run().totalMoves,
                             framework.movedSet().size());
     };
     const auto [dampMoves, dampCells] = runVariant(true);

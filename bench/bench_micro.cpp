@@ -170,9 +170,9 @@ void BM_EccPriceCandidates(benchmark::State& state) {
   core::PricingOptions options;
   options.cacheEnabled = state.range(0) != 0;
   options.deltaEnabled = state.range(1) != 0;
-  core::PricingStats stats;
+  obs::PricingStats stats;
   for (auto _ : state) {
-    stats = core::PricingStats{};
+    stats = obs::PricingStats{};
     core::priceCandidates(fixture().db, f.router, f.candidates, nullptr,
                           options, &stats);
     benchmark::DoNotOptimize(f.candidates);
@@ -300,7 +300,7 @@ void BM_CrpIterationSpatial(benchmark::State& state) {
   std::size_t heatmaps = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    obs::resetAll();
+    obs::currentContext().reset();
     bmgen::BenchmarkSpec spec;
     spec.name = "micro";
     spec.targetCells = 600;

@@ -100,9 +100,8 @@ inline FlowOutcome runFlow(const bmgen::SuiteEntry& entry, FlowKind kind,
           crpOverride.has_value() ? *crpOverride : core::CrpOptions{};
       options.iterations = iterations;
       core::CrpFramework framework(db, router, options);
-      const auto report = framework.run();
-      outcome.moves = report.totalMoves;
-      outcome.crpReport = framework.runReport();
+      outcome.crpReport = framework.run();
+      outcome.moves = outcome.crpReport.totalMoves;
       break;
     }
   }

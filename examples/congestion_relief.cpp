@@ -79,9 +79,9 @@ int main(int argc, char** argv) {
   core::CrpOptions options;
   options.iterations = 10;
   core::CrpFramework framework(dbCrp, routerCrp, options);
-  const auto report = framework.run();
+  const obs::RunReport& report = framework.run();
   std::cout << "CR&P moved " << report.totalMoves << " cells over "
-            << report.iterations.size() << " iterations\n";
+            << report.iterationStats.size() << " iterations\n";
   const eval::Metrics crp = detailedMetrics(dbCrp, routerCrp);
   printRow("CR&P (k=10)        ", crp, base);
 

@@ -53,11 +53,7 @@ int main(int argc, char** argv) {
   core::CrpOptions options;
   options.iterations = iterations;
   core::CrpFramework framework(db, router, options);
-  const auto report = framework.run();
-  int moves = 0;
-  for (const auto& it : report.iterations) {
-    moves += it.movedCells + it.displacedCells;
-  }
+  const int moves = framework.run().totalMoves;
   std::cout << "CR&P: " << iterations << " iterations, " << moves
             << " cell moves, placement legal: "
             << (db::isPlacementLegal(db) ? "yes" : "NO") << "\n";

@@ -34,6 +34,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Provenance is read before the first leg: the legs rewrite the tracked
+# BENCH_*.json files, so a `git status` taken afterwards would call every
+# run dirty.  The stamp below and crp_report's ledger entries (through
+# RunLedger, which honours both variables) use these values.
+CRP_GIT_SHA="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
+CRP_GIT_DIRTY_FILES="$(git status --porcelain 2>/dev/null | wc -l | tr -d ' ')"
+export CRP_GIT_SHA CRP_GIT_DIRTY_FILES
+
 BUILD=build
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD" -j "$(nproc)"
@@ -261,18 +269,14 @@ EOF
 # Machine-checkable dirty state: an explicit boolean plus the changed-
 # path count, not just a "-dirty" sha suffix a consumer would have to
 # string-match for (crp_report ledger --skip-dirty keys off the same
-# facts).
+# facts).  Both come from the pre-leg reading at the top of this script.
 python3 - <<'EOF'
 import glob
 import json
 import os
-import subprocess
 
-sha = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
-                     text=True).stdout.strip() or "unknown"
-status = subprocess.run(["git", "status", "--porcelain"],
-                        capture_output=True, text=True).stdout.strip()
-dirty_files = len(status.splitlines()) if status else 0
+sha = os.environ["CRP_GIT_SHA"] or "unknown"
+dirty_files = int(os.environ["CRP_GIT_DIRTY_FILES"])
 host = {"cpus": os.cpu_count() or 1,
         "git_sha": sha + ("-dirty" if dirty_files else ""),
         "dirty": dirty_files > 0,

@@ -4,7 +4,6 @@
 
 #include "check/eco_equivalence.hpp"
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
@@ -15,6 +14,7 @@
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/run_report.hpp"
+#include "util/file_io.hpp"
 #include "util/logger.hpp"
 #include "util/rng.hpp"
 
@@ -323,12 +323,11 @@ void FuzzCampaign::minimizeAndRecord(SeedResult& result) {
 
     const std::string path = options_.artifactDir + "/fuzz_seed_" +
                              std::to_string(seed) + ".json";
-    std::ofstream out(path);
-    if (out) {
-      out << doc.dump(2) << "\n";
+    std::string error;
+    if (util::writeFileAtomic(path, doc.dump(2) + "\n", &error)) {
       result.artifactPath = path;
     } else {
-      CRP_LOG_WARN("fuzz: cannot write artifact {}", path);
+      CRP_LOG_WARN("fuzz: cannot write artifact {}: {}", path, error);
     }
   } catch (const std::exception& e) {
     CRP_LOG_WARN("fuzz: artifact write failed: {}", e.what());

@@ -104,9 +104,11 @@ class CandidatePricer {
         graph_(router.graph()),
         pattern_(router.graph()),
         options_(options),
-        ownedCache_(options.sharedCache != nullptr ? 1 : options.cacheShards),
+        ownedCache_(options.sharedCache != nullptr
+                        ? nullptr
+                        : std::make_unique<PricingCache>()),
         cache_(options.sharedCache != nullptr ? options.sharedCache
-                                              : &ownedCache_),
+                                              : ownedCache_.get()),
         startStats_(cache_->stats()) {
     // Distinguishes this phase's entries in the per-thread baseline
     // tables (scratch outlives the pricer); 0 stays "never valid".
@@ -265,9 +267,9 @@ class CandidatePricer {
   /// This phase's counters: deltas against the cache state at pricer
   /// construction, so a shared (ECO-persistent) cache reports per-phase
   /// numbers just like a phase-local one.
-  PricingStats stats() const {
-    const PricingStats now = cache_->stats();
-    PricingStats phase;
+  obs::PricingStats stats() const {
+    const obs::PricingStats now = cache_->stats();
+    obs::PricingStats phase;
     phase.cacheHits = now.cacheHits - startStats_.cacheHits;
     phase.cacheMisses = now.cacheMisses - startStats_.cacheMisses;
     phase.deltaSkips = now.deltaSkips - startStats_.deltaSkips;
@@ -363,9 +365,9 @@ class CandidatePricer {
   PricingOptions options_;
   /// Phase-local store, used unless options_.sharedCache redirects
   /// cache_ to a caller-owned, longer-lived cache.
-  PricingCache ownedCache_;
+  std::unique_ptr<PricingCache> ownedCache_;
   PricingCache* cache_;
-  PricingStats startStats_;
+  obs::PricingStats startStats_;
   std::vector<NetTemplate> templates_;
   std::uint32_t epoch_ = 0;  ///< tags per-thread baseline-table entries
 };
@@ -455,7 +457,7 @@ void priceCandidates(const db::Database& db,
                      std::vector<CellCandidates>& candidates,
                      util::ThreadPool* pool,
                      const PricingOptions& pricing,
-                     PricingStats* stats) {
+                     obs::PricingStats* stats) {
   CandidatePricer pricer(db, router, pricing);
   auto priceFor = [&](std::size_t i) {
     static thread_local PricerScratch scratch;
@@ -472,18 +474,11 @@ void priceCandidates(const db::Database& db,
   }
 }
 
-void priceCandidates(const db::Database& db,
-                     const groute::GlobalRouter& router,
-                     std::vector<CellCandidates>& candidates,
-                     util::ThreadPool* pool) {
-  priceCandidates(db, router, candidates, pool, PricingOptions{}, nullptr);
-}
-
 std::vector<CellCandidates> generateCandidates(
     const db::Database& db, const groute::GlobalRouter& router,
     const legalizer::IlpLegalizer& legalizer,
     const std::vector<db::CellId>& criticalSet, util::ThreadPool* pool,
-    const PricingOptions& pricing, PricingStats* stats) {
+    const PricingOptions& pricing, obs::PricingStats* stats) {
   auto result = buildCandidates(db, legalizer, criticalSet, pool);
   priceCandidates(db, router, result, pool, pricing, stats);
   return result;

@@ -49,7 +49,6 @@ struct CellCandidates {
 struct PricingOptions {
   bool cacheEnabled = true;  ///< memoize priceTree by terminal set
   bool deltaEnabled = true;  ///< skip nets whose terminals are unchanged
-  int cacheShards = 64;      ///< mutex stripes of the shared cache
   /// When non-null, priceCandidates snapshots the phase cache's
   /// (terminal set, price) entries here before the cache dies with the
   /// pricer.  Consumed by the paranoid-level pricing-coherence audit,
@@ -57,11 +56,11 @@ struct PricingOptions {
   PricingCacheEntries* cacheEntriesOut = nullptr;
   /// When non-null, the pricer memoizes into this caller-owned cache
   /// instead of a phase-local one, so entries survive the phase.  The
-  /// caller owns coherence: it must evict (invalidateTerminals) every
+  /// caller owns coherence: it must evict (invalidateRegions) every
   /// entry whose terminal bbox saw a demand change before the next
   /// phase prices against it.  This is how the ECO engine reuses
-  /// pricing work across its restricted iterations (docs/eco.md);
-  /// cacheShards is ignored when set.  Reported stats stay per-phase
+  /// pricing work across its restricted iterations (docs/eco.md).
+  /// Reported stats stay per-phase
   /// (deltas against the cache's counters at pricer construction).
   PricingCache* sharedCache = nullptr;
 };
@@ -97,17 +96,13 @@ void priceCandidates(const db::Database& db,
                      std::vector<CellCandidates>& candidates,
                      util::ThreadPool* pool,
                      const PricingOptions& pricing,
-                     PricingStats* stats = nullptr);
-void priceCandidates(const db::Database& db,
-                     const groute::GlobalRouter& router,
-                     std::vector<CellCandidates>& candidates,
-                     util::ThreadPool* pool);
+                     obs::PricingStats* stats = nullptr);
 
 /// Convenience: buildCandidates + priceCandidates.
 std::vector<CellCandidates> generateCandidates(
     const db::Database& db, const groute::GlobalRouter& router,
     const legalizer::IlpLegalizer& legalizer,
     const std::vector<db::CellId>& criticalSet, util::ThreadPool* pool,
-    const PricingOptions& pricing = {}, PricingStats* stats = nullptr);
+    const PricingOptions& pricing = {}, obs::PricingStats* stats = nullptr);
 
 }  // namespace crp::core

@@ -184,23 +184,30 @@ void CrpFramework::chargePhase(const char* phase, double seconds) {
   }
 }
 
-IterationReport CrpFramework::runIteration() {
+obs::TimelineRecord CrpFramework::runIteration() {
   obs::ObsContextScope obsScope(obsCtx_);
-  IterationReport report;
   const int iterIndex = static_cast<int>(runReport_.iterationStats.size());
   CRP_OBS_SPAN_ARG("crp", "crp.iteration", iterIndex);
+  obs::TimelineRecord record;
+  record.iteration = iterIndex;
+  record.eco = ecoMode_;
 
   // Spatial tier: the baseline snapshot normally exists from
   // construction; recapture here if observability was enabled later.
   const bool spatial = spatialEnabled();
   if (spatial && heatmaps_.empty()) captureSnapshot("post-gr", -1);
-  obs::TimelineRecord timeline;
-  timeline.iteration = iterIndex;
-  timeline.eco = ecoMode_;
   if (spatial) {
-    timeline.overflowBefore = heatmaps_.latest().totalOverflow;
-    timeline.overflowedEdgesBefore = heatmaps_.latest().overflowedEdges;
+    record.overflowCaptured = true;
+    record.overflowBefore = heatmaps_.latest().totalOverflow;
+    record.overflowedEdgesBefore = heatmaps_.latest().overflowedEdges;
   }
+  auto captureAfter = [&] {
+    if (!spatial) return;
+    const obs::HeatmapSnapshot& after =
+        captureSnapshot("iter" + std::to_string(iterIndex), iterIndex);
+    record.overflowAfter = after.totalOverflow;
+    record.overflowedEdgesAfter = after.overflowedEdges;
+  };
 
   // ---- LCC: Alg. 1 -----------------------------------------------------------
   std::vector<db::CellId> criticalSet;
@@ -209,27 +216,18 @@ IterationReport CrpFramework::runIteration() {
     CRP_OBS_EVENT("crp", "phase.LCC", iterIndex);
     util::Stopwatch watch;
     criticalSet = labelCriticalCells(db_, router_, criticalHistory_, moved_,
-                                     rng_, options_, &timeline.dampedCells,
+                                     rng_, options_, &record.dampedCells,
                                      ecoScope_);
     chargePhase(kPhaseLcc, watch.seconds());
   }
-  report.criticalCells = static_cast<int>(criticalSet.size());
-  timeline.criticalCells = report.criticalCells;
+  record.criticalCells = static_cast<int>(criticalSet.size());
   CRP_OBS_COUNT("crp.critical_cells", criticalSet.size());
   if (criticalSet.empty()) {
     maybeAudit(kPhaseLcc, /*iterationEnd=*/true);
-    runReport_.iterationStats.push_back(obs::RunReport::IterationStat{});
-    if (spatial) {
-      // Nothing moved: the capture yields an empty delta, and the
-      // timeline keeps its k-entries-per-k-iterations shape.
-      const obs::HeatmapSnapshot& after =
-          captureSnapshot("iter" + std::to_string(iterIndex), iterIndex);
-      timeline.overflowAfter = after.totalOverflow;
-      timeline.overflowedEdgesAfter = after.overflowedEdges;
-      runReport_.timeline.push_back(timeline);
-    }
-    if (iterationCallback_) iterationCallback_(iterIndex, report);
-    return report;
+    // Nothing moved: the capture yields an empty delta, and the
+    // timeline keeps its k-entries-per-k-iterations shape.
+    captureAfter();
+    return recordIteration(record);
   }
   maybeAudit(kPhaseLcc, /*iterationEnd=*/false);
 
@@ -252,10 +250,11 @@ IterationReport CrpFramework::runIteration() {
     chargePhase(kPhaseGcp, watch.seconds());
   }
   for (const CellCandidates& cc : candidates) {
-    timeline.candidatesGenerated += static_cast<int>(cc.candidates.size());
+    record.candidatesGenerated += static_cast<int>(cc.candidates.size());
   }
   maybeAudit(kPhaseGcp, /*iterationEnd=*/false);
   PricingCacheEntries cacheEntries;
+  obs::PricingStats eccStats;
   {
     CRP_OBS_SPAN("crp", "phase.ECC");
     CRP_OBS_EVENT("crp", "phase.ECC", iterIndex);
@@ -263,7 +262,6 @@ IterationReport CrpFramework::runIteration() {
     PricingOptions pricing;
     pricing.cacheEnabled = options_.pricingCache;
     pricing.deltaEnabled = options_.deltaPricing;
-    pricing.cacheShards = options_.pricingShards;
     // All iterations price through the persistent cache so clean-region
     // entries survive from one iteration (and run()/runEco call) to the
     // next; the UD hook below evicts the dirty ones before demand
@@ -277,16 +275,14 @@ IterationReport CrpFramework::runIteration() {
         pricing.cacheEnabled) {
       pricing.cacheEntriesOut = &cacheEntries;
     }
-    priceCandidates(db_, router_, candidates, pool_, pricing,
-                    &report.pricing);
-    report.eccSeconds = watch.seconds();
-    chargePhase(kPhaseEcc, report.eccSeconds);
+    priceCandidates(db_, router_, candidates, pool_, pricing, &eccStats);
+    chargePhase(kPhaseEcc, watch.seconds());
     // One aggregate publish per ECC phase (the pricing hot path keeps
     // its own atomics in PricingCache; see obs.hpp on hot-path policy).
-    CRP_OBS_COUNT("pricing.cache_hits", report.pricing.cacheHits);
-    CRP_OBS_COUNT("pricing.cache_misses", report.pricing.cacheMisses);
-    CRP_OBS_COUNT("pricing.delta_skips", report.pricing.deltaSkips);
-    CRP_OBS_COUNT("pricing.nets_priced", report.pricing.netsPriced());
+    CRP_OBS_COUNT("pricing.cache_hits", eccStats.cacheHits);
+    CRP_OBS_COUNT("pricing.cache_misses", eccStats.cacheMisses);
+    CRP_OBS_COUNT("pricing.delta_skips", eccStats.deltaSkips);
+    CRP_OBS_COUNT("pricing.nets_priced", eccStats.netsPriced());
   }
   // Coherence is only checkable here: the UD phase unfreezes demand,
   // after which recomputed prices legitimately diverge from the cache.
@@ -302,10 +298,10 @@ IterationReport CrpFramework::runIteration() {
     chargePhase(kPhaseSel, watch.seconds());
   }
   maybeAudit(kPhaseSel, /*iterationEnd=*/false);
-  report.selectedCost = selection.totalCost;
+  record.selectedCost = selection.totalCost;
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     if (!candidates[i].candidates[selection.chosen[i]].isCurrent) {
-      ++timeline.movesSelected;
+      ++record.movesSelected;
     }
   }
 
@@ -323,13 +319,12 @@ IterationReport CrpFramework::runIteration() {
     CRP_OBS_COUNT("crp.commit_conflicts", plan.conflictSkips);
     CRP_OBS_EVENT("crp", "commit", plan.movesNeeded);
 
-    auto trackDisplacement = [&timeline](const geom::Point& from,
-                                         const geom::Point& to) {
+    auto trackDisplacement = [&record](const geom::Point& from,
+                                       const geom::Point& to) {
       const std::int64_t dist = std::llabs(to.x - from.x) +
                                 std::llabs(to.y - from.y);
-      timeline.totalDisplacementDbu += dist;
-      timeline.maxDisplacementDbu =
-          std::max(timeline.maxDisplacementDbu, dist);
+      record.totalDisplacementDbu += dist;
+      record.maxDisplacementDbu = std::max(record.maxDisplacementDbu, dist);
     };
     std::vector<db::NetId> affectedNets;
     for (const std::size_t i : plan.committed) {
@@ -339,7 +334,7 @@ IterationReport CrpFramework::runIteration() {
       trackDisplacement(db_.cell(cell).pos, chosen.position);
       db_.moveCell(cell, chosen.position);
       moved_.insert(cell);
-      ++report.movedCells;
+      ++record.movedCells;
       for (const db::NetId n : db_.netsOfCell(cell)) {
         affectedNets.push_back(n);
       }
@@ -347,7 +342,7 @@ IterationReport CrpFramework::runIteration() {
         trackDisplacement(db_.cell(id).pos, pos);
         db_.moveCell(id, pos);
         moved_.insert(id);
-        ++report.displacedCells;
+        ++record.displacedCells;
         for (const db::NetId n : db_.netsOfCell(id)) {
           affectedNets.push_back(n);
         }
@@ -363,55 +358,37 @@ IterationReport CrpFramework::runIteration() {
     // they are evicted here too rather than lingering as orphans.
     invalidateEcoCache(affectedNets);
     router_.rerouteNets(affectedNets);
-    report.reroutedNets = static_cast<int>(affectedNets.size());
-    CRP_OBS_EVENT("crp", "reroute", report.reroutedNets);
-    movesUsed_ += report.movedCells + report.displacedCells;
+    record.reroutedNets = static_cast<int>(affectedNets.size());
+    CRP_OBS_EVENT("crp", "reroute", record.reroutedNets);
+    movesUsed_ += record.movedCells + record.displacedCells;
     chargePhase(kPhaseUd, watch.seconds());
   }
-  if (spatial) {
-    const obs::HeatmapSnapshot& after =
-        captureSnapshot("iter" + std::to_string(iterIndex), iterIndex);
-    timeline.overflowAfter = after.totalOverflow;
-    timeline.overflowedEdgesAfter = after.overflowedEdges;
-  }
+  captureAfter();
   maybeAudit(kPhaseUd, /*iterationEnd=*/true);
 
   for (const db::CellId c : criticalSet) criticalHistory_.insert(c);
-  CRP_OBS_COUNT("crp.moves", report.movedCells + report.displacedCells);
-  CRP_OBS_COUNT("crp.reroutes", report.reroutedNets);
-
-  // Mirror the iteration into the run report.
-  obs::RunReport::IterationStat stat;
-  stat.criticalCells = report.criticalCells;
-  stat.movedCells = report.movedCells;
-  stat.displacedCells = report.displacedCells;
-  stat.reroutedNets = report.reroutedNets;
-  stat.selectedCost = report.selectedCost;
-  stat.netsPriced = report.pricing.netsPriced();
-  runReport_.iterationStats.push_back(stat);
-  if (spatial) {
-    timeline.netsPriced = report.pricing.netsPriced();
-    timeline.selectedCost = report.selectedCost;
-    timeline.movedCells = report.movedCells;
-    timeline.displacedCells = report.displacedCells;
-    timeline.reroutedNets = report.reroutedNets;
-    runReport_.timeline.push_back(timeline);
-  }
-  runReport_.pricing.cacheHits += report.pricing.cacheHits;
-  runReport_.pricing.cacheMisses += report.pricing.cacheMisses;
-  runReport_.pricing.deltaSkips += report.pricing.deltaSkips;
-  runReport_.totalMoves += report.movedCells + report.displacedCells;
-  runReport_.totalReroutes += report.reroutedNets;
+  CRP_OBS_COUNT("crp.moves", record.movedCells + record.displacedCells);
+  CRP_OBS_COUNT("crp.reroutes", record.reroutedNets);
+  record.netsPriced = eccStats.netsPriced();
+  runReport_.pricing += eccStats;
 
   CRP_LOG_DEBUG(
       "crp iteration: {} critical, {} moved (+{} displaced), {} rerouted",
-      report.criticalCells, report.movedCells, report.displacedCells,
-      report.reroutedNets);
-  if (iterationCallback_) iterationCallback_(iterIndex, report);
-  return report;
+      record.criticalCells, record.movedCells, record.displacedCells,
+      record.reroutedNets);
+  return recordIteration(record);
 }
 
-CrpReport CrpFramework::run() {
+obs::TimelineRecord CrpFramework::recordIteration(
+    const obs::TimelineRecord& record) {
+  runReport_.iterationStats.push_back(record);
+  runReport_.totalMoves += record.movedCells + record.displacedCells;
+  runReport_.totalReroutes += record.reroutedNets;
+  if (iterationCallback_) iterationCallback_(record);
+  return record;
+}
+
+const obs::RunReport& CrpFramework::run() {
   obs::ObsContextScope obsScope(obsCtx_);
   CRP_OBS_SPAN("crp", "crp.run");
   // A run starts after a fresh GR, so entries from any earlier run are
@@ -423,19 +400,12 @@ CrpReport CrpFramework::run() {
   // lets the first ECO iteration price mostly from cache instead of
   // re-paying ECC for the whole clean region.
   if (options_.pricingCache) {
-    ecoCache_ = std::make_unique<PricingCache>(options_.pricingShards);
+    ecoCache_ = std::make_unique<PricingCache>();
   } else {
     ecoCache_.reset();
   }
-  CrpReport report;
-  for (int k = 0; k < options_.iterations; ++k) {
-    const IterationReport iteration = runIteration();
-    report.totalMoves += iteration.movedCells + iteration.displacedCells;
-    report.totalReroutes += iteration.reroutedNets;
-    report.pricing += iteration.pricing;
-    report.iterations.push_back(iteration);
-  }
-  return report;
+  for (int k = 0; k < options_.iterations; ++k) runIteration();
+  return runReport();
 }
 
 void CrpFramework::invalidateEcoCache(const std::vector<db::NetId>& nets) {
@@ -620,22 +590,18 @@ EcoReport CrpFramework::runEco(const db::EcoDelta& delta,
   report.scopeCells = static_cast<int>(scope.size());
 
   // 5. Restricted CR&P iterations with the persistent pricing cache.
-  if (!eco.reuseCache) {
-    ecoCache_.reset();
-  } else if (options_.pricingCache && !ecoCache_) {
-    ecoCache_ = std::make_unique<PricingCache>(options_.pricingShards);
+  if (options_.pricingCache && !ecoCache_) {
+    ecoCache_ = std::make_unique<PricingCache>();
   }
   ecoMode_ = true;
   ecoScope_ = &scope;
   ecoMaxCandidates_ = eco.maxCandidates;
   try {
     for (int k = 0; k < eco.iterations; ++k) {
-      const IterationReport iteration = runIteration();
-      report.crp.totalMoves +=
-          iteration.movedCells + iteration.displacedCells;
-      report.crp.totalReroutes += iteration.reroutedNets;
-      report.crp.pricing += iteration.pricing;
-      report.crp.iterations.push_back(iteration);
+      const obs::TimelineRecord record = runIteration();
+      report.moves += record.movedCells + record.displacedCells;
+      report.reroutes += record.reroutedNets;
+      report.netsPriced += record.netsPriced;
     }
   } catch (...) {
     ecoMode_ = false;
@@ -654,15 +620,14 @@ EcoReport CrpFramework::runEco(const db::EcoDelta& delta,
   CRP_OBS_COUNT("eco.dirty_nets", report.dirtyNets);
   CRP_OBS_COUNT("eco.scope_cells", report.scopeCells);
   CRP_OBS_COUNT("eco.failed_reroutes", report.failedReroutes);
-  CRP_OBS_COUNT("eco.moves",
-                report.crp.totalMoves);
+  CRP_OBS_COUNT("eco.moves", report.moves);
   CRP_OBS_GAUGE_SET("eco.patch_seconds", report.patchSeconds);
   CRP_OBS_GAUGE_SET("eco.total_seconds", report.totalSeconds);
   CRP_LOG_DEBUG(
       "eco: {} edits -> {} dirty nets, {} scope cells, {} evictions, "
       "{} moves",
       delta.size(), report.dirtyNets, report.scopeCells,
-      report.cacheEvictions, report.crp.totalMoves);
+      report.cacheEvictions, report.moves);
   return report;
 }
 

@@ -45,23 +45,6 @@ inline constexpr const char* kPhases[] = {kPhaseLcc, kPhaseGcp, kPhaseEcc,
                                           kPhaseSel, kPhaseUd};
 inline constexpr int kNumPhases = 5;
 
-struct IterationReport {
-  int criticalCells = 0;
-  int movedCells = 0;
-  int displacedCells = 0;  ///< conflict cells moved alongside
-  int reroutedNets = 0;
-  double selectedCost = 0.0;  ///< Eq. 12 objective of the selection
-  PricingStats pricing;       ///< ECC engine counters for this iteration
-  double eccSeconds = 0.0;    ///< wall time of the ECC phase
-};
-
-struct CrpReport {
-  std::vector<IterationReport> iterations;
-  int totalMoves = 0;
-  int totalReroutes = 0;
-  PricingStats pricing;  ///< summed over iterations
-};
-
 /// Knobs of one runEco call (CrpOptions still governs pricing, audit
 /// level, threads and the RNG stream).
 struct EcoOptions {
@@ -70,10 +53,6 @@ struct EcoOptions {
   /// the delta's footprint grown by this much, so cost neighborhoods
   /// that merely border the change still participate.
   int haloGCells = 2;
-  /// Keep the persistent pricing cache across runEco calls (entries in
-  /// clean regions carry over; dirty ones are evicted).  Off forces a
-  /// cold cache per call — the ablation/debug switch.
-  bool reuseCache = true;
   /// Candidates proposed per critical cell during the restricted
   /// iterations (full runs use LegalizerOptions::maxCandidates).  The
   /// base placement already converged and the delta is small, so the
@@ -103,7 +82,10 @@ struct EcoReport {
   double patchSeconds = 0.0;  ///< apply + dirty tracking + patch reroute
   double totalSeconds = 0.0;  ///< whole runEco call
 
-  CrpReport crp;  ///< the restricted iterations' report
+  // Restricted iterations (their records join RunReport::iterationStats).
+  int moves = 0;                 ///< cells moved, displaced ones included
+  int reroutes = 0;              ///< nets rerouted by the UD phases
+  std::uint64_t netsPriced = 0;  ///< ECC nets priced
 };
 
 /// The UD phase's move-commit plan: which selected moves to apply.
@@ -144,13 +126,15 @@ class CrpFramework {
   CrpFramework(db::Database& db, groute::GlobalRouter& router,
                CrpOptions options = {});
 
-  /// Runs options.iterations iterations (the paper's k).  Also drops
-  /// the persistent ECO pricing cache: a full run changes demand
-  /// everywhere, so nothing in it could survive.
-  CrpReport run();
+  /// Runs options.iterations iterations (the paper's k) and returns the
+  /// refreshed runReport().  Also drops the persistent ECO pricing
+  /// cache: a full run changes demand everywhere, so nothing in it
+  /// could survive.
+  const obs::RunReport& run();
 
-  /// Runs a single iteration (exposed for tests and custom loops).
-  IterationReport runIteration();
+  /// Runs a single iteration (exposed for tests and custom loops):
+  /// appends its record to RunReport::iterationStats and returns it.
+  obs::TimelineRecord runIteration();
 
   /// The incremental entry point (docs/eco.md): applies `delta`
   /// transactionally, invalidates only the dirty gcell region — routes
@@ -164,19 +148,19 @@ class CrpFramework {
   EcoReport runEco(const db::EcoDelta& delta, const EcoOptions& eco = {});
 
   /// The observability run report.  Phase wall times and per-iteration
-  /// stats accumulate as iterations execute; config, final router
-  /// stats, and metric-counter deltas (relative to the registry
-  /// snapshot taken at construction) are refreshed on each call.
+  /// records accumulate as iterations execute (run, runEco and manual
+  /// runIteration alike); config, final router stats, and
+  /// metric-counter deltas (relative to the registry snapshot taken at
+  /// construction) are refreshed on each call.
   const obs::RunReport& runReport();
 
   /// Called after every completed iteration (run, runEco, or a manual
-  /// runIteration) with the iteration index and its report — while the
-  /// framework's ObsContext is still installed, so the callback can
-  /// read runReport().timeline / heatmaps() to stream progress (the
-  /// serve daemon's per-iteration events).  Keep it cheap; it runs on
-  /// the flow thread.
+  /// runIteration) with its record — while the framework's ObsContext
+  /// is still installed, so the callback can read heatmaps() to stream
+  /// progress (the serve daemon's per-iteration events).  Keep it
+  /// cheap; it runs on the flow thread.
   void setIterationCallback(
-      std::function<void(int, const IterationReport&)> callback) {
+      std::function<void(const obs::TimelineRecord&)> callback) {
     iterationCallback_ = std::move(callback);
   }
 
@@ -193,12 +177,16 @@ class CrpFramework {
   /// Delta-encoded congestion snapshots captured this run (empty
   /// unless options.snapshots and the obs gate are on): one "post-gr"
   /// baseline plus one per iteration — the k+1 heatmaps bracketing the
-  /// RunReport timeline.
+  /// captured RunReport records.
   const obs::HeatmapSeries& heatmaps() const { return heatmaps_; }
 
  private:
   /// Adds `seconds` to the named phase's RunReport bucket.
   void chargePhase(const char* phase, double seconds);
+
+  /// Appends a finished iteration's record to the RunReport (records
+  /// and totals), runs the iteration callback, and returns the record.
+  obs::TimelineRecord recordIteration(const obs::TimelineRecord& record);
 
   /// True when the spatial tier records this run (options.snapshots
   /// and the runtime obs gate both on).
@@ -236,7 +224,7 @@ class CrpFramework {
   obs::ObsContext* obsCtx_ = nullptr;
   std::unique_ptr<util::ThreadPool> ownedPool_;  ///< null on sharedPool
   util::ThreadPool* pool_ = nullptr;
-  std::function<void(int, const IterationReport&)> iterationCallback_;
+  std::function<void(const obs::TimelineRecord&)> iterationCallback_;
   obs::RunReport runReport_;
   obs::MetricsSnapshot baseline_;  ///< context registry at construction
   obs::HeatmapSeries heatmaps_;    ///< spatial tier (options.snapshots)

@@ -60,12 +60,11 @@ struct CrpOptions {
   /// plan is deterministic and batch members touch disjoint regions).
   int routerThreads = 0;
 
-  /// ECC incremental pricing engine (docs/pricing_cache.md).  All three
+  /// ECC incremental pricing engine (docs/pricing_cache.md).  Both
   /// knobs are value-exact: toggling them changes the ECC wall time,
   /// never the candidate costs or the selection.
   bool pricingCache = true;  ///< memoize priceTree by terminal set
   bool deltaPricing = true;  ///< re-price only nets whose GCells changed
-  int pricingShards = 64;    ///< mutex stripes of the shared cache
 
   /// In-flow invariant auditing (src/check, docs/checking.md).  Off is
   /// free (a single enum compare per phase); phase-boundary audits
@@ -81,7 +80,8 @@ struct CrpOptions {
   /// the obs runtime gate is on, the framework captures a congestion
   /// HeatmapSnapshot after global routing and after every UD commit
   /// (k+1 snapshots, delta-encoded in CrpFramework::heatmaps()) and
-  /// fills RunReport::timeline with one record per iteration.
+  /// marks each iteration's RunReport record as captured (its overflow
+  /// bracket joins the "timeline").
   /// Value-exact and schedule-independent: captures read committed
   /// state only, so no flow decision changes and the grids are
   /// bit-identical across --threads / --router-threads.

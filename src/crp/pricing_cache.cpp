@@ -1,7 +1,6 @@
 #include "crp/pricing_cache.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "groute/global_router.hpp"
 #include "obs/obs.hpp"
@@ -41,14 +40,12 @@ std::uint64_t terminalSetHash(const std::vector<groute::GPoint>& terminals) {
   return h;
 }
 
-PricingCache::PricingCache(int shards) {
-  const auto count = std::bit_ceil(
-      static_cast<std::size_t>(std::max(1, shards)));
-  shards_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
+PricingCache::PricingCache() {
+  static_assert((kShards & (kShards - 1)) == 0, "kShards: a power of 2");
+  shards_.reserve(kShards);
+  for (std::size_t i = 0; i < kShards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
-  shardMask_ = count - 1;
 }
 
 double PricingCache::price(const std::vector<groute::GPoint>& terminals,
@@ -56,7 +53,7 @@ double PricingCache::price(const std::vector<groute::GPoint>& terminals,
                            groute::PatternRouter::Scratch& scratch) {
   const std::uint64_t hash = terminalSetHash(terminals);
   // The top bits pick the shard; unordered_map buckets use the low ones.
-  Shard& shard = *shards_[(hash >> 48) & shardMask_];
+  Shard& shard = *shards_[(hash >> 48) & (kShards - 1)];
   {
     std::lock_guard lock(shard.mutex);
     // Heterogeneous probe: no terminal-vector copy on the hit path.
@@ -78,8 +75,8 @@ double PricingCache::price(const std::vector<groute::GPoint>& terminals,
   return price;
 }
 
-PricingStats PricingCache::stats() const {
-  PricingStats stats;
+obs::PricingStats PricingCache::stats() const {
+  obs::PricingStats stats;
   stats.cacheHits = hits_.load(std::memory_order_relaxed);
   stats.cacheMisses = misses_.load(std::memory_order_relaxed);
   stats.deltaSkips = deltaSkips_.load(std::memory_order_relaxed);
@@ -93,25 +90,6 @@ std::size_t PricingCache::size() const {
     total += shard->entries.size();
   }
   return total;
-}
-
-std::size_t PricingCache::invalidateTerminals(
-    const std::function<bool(const std::vector<groute::GPoint>&)>&
-        shouldEvict) {
-  std::size_t evicted = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard lock(shard->mutex);
-    for (auto it = shard->entries.begin(); it != shard->entries.end();) {
-      if (shouldEvict(it->first.terminals)) {
-        it = shard->entries.erase(it);
-        ++evicted;
-      } else {
-        ++it;
-      }
-    }
-  }
-  CRP_OBS_COUNT("crp.cache.evictions", evicted);
-  return evicted;
 }
 
 std::size_t PricingCache::invalidateRegions(

@@ -10,11 +10,10 @@
 //
 // Lifetime/invalidation: demand maps are frozen during Alg. 3 (pattern
 // routing is read-only on the RoutingGraph), so a cache is valid for at
-// least one ECC phase.  The batch framework constructs a fresh cache
-// per iteration (no mid-phase invalidation); the ECO engine instead
-// keeps one cache alive across iterations and evicts the entries whose
-// terminal bbox the rerouted region touches via invalidateTerminals()
-// (docs/pricing_cache.md, docs/eco.md).
+// least one ECC phase.  The framework keeps one cache alive across
+// iterations (and into runEco) and, before every reroute, evicts the
+// entries whose terminal bbox the rerouted region touches via
+// invalidateRegions() (docs/pricing_cache.md, docs/eco.md).
 //
 // Determinism: priceTree is a pure function of the terminal set and
 // the frozen graph, and entries compare the full terminal vector (the
@@ -24,7 +23,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -32,6 +30,7 @@
 #include <vector>
 
 #include "groute/pattern_route.hpp"
+#include "obs/run_report.hpp"
 
 namespace crp::groute {
 struct GCellRect;  // global_router.hpp (kept out of this header)
@@ -49,28 +48,6 @@ void canonicalizeTerminals(std::vector<groute::GPoint>& terminals);
 /// collision is harmless: entries compare the full key).
 std::uint64_t terminalSetHash(const std::vector<groute::GPoint>& terminals);
 
-/// Aggregated cache counters (one ECC phase, or summed over a run).
-struct PricingStats {
-  std::uint64_t cacheHits = 0;    ///< priced from the cache
-  std::uint64_t cacheMisses = 0;  ///< pattern routes actually executed
-  std::uint64_t deltaSkips = 0;   ///< nets skipped: terminals unchanged
-
-  std::uint64_t netsPriced() const {
-    return cacheHits + cacheMisses + deltaSkips;
-  }
-  double hitRate() const {
-    const std::uint64_t reused = cacheHits + deltaSkips;
-    const std::uint64_t total = reused + cacheMisses;
-    return total == 0 ? 0.0 : static_cast<double>(reused) / total;
-  }
-  PricingStats& operator+=(const PricingStats& other) {
-    cacheHits += other.cacheHits;
-    cacheMisses += other.cacheMisses;
-    deltaSkips += other.deltaSkips;
-    return *this;
-  }
-};
-
 /// Snapshot of cache contents: (canonical terminal set, price) pairs in
 /// deterministic (sorted) order.  Produced by PricingCache::entries(),
 /// carried out of the ECC phase through PricingOptions::cacheEntriesOut
@@ -80,8 +57,10 @@ using PricingCacheEntries =
 
 class PricingCache {
  public:
-  /// `shards` mutex stripes (clamped to >= 1, rounded to a power of 2).
-  explicit PricingCache(int shards = 64);
+  /// Mutex stripes (a power of 2).
+  static constexpr std::size_t kShards = 64;
+
+  PricingCache();
 
   /// Returns priceTree(terminals), memoized.  `terminals` must be
   /// canonical (terminalsWithOverrides output already is).  On a miss
@@ -100,36 +79,27 @@ class PricingCache {
     misses_.fetch_add(n, std::memory_order_relaxed);
   }
 
-  PricingStats stats() const;
+  obs::PricingStats stats() const;
   std::size_t size() const;  ///< resident entries across all shards
 
-  /// Evicts every entry whose canonical terminal set `shouldEvict`
-  /// selects and returns the eviction count (also published as the
+  /// Evicts every entry whose terminal bbox overlaps any of `regions`
+  /// and returns the eviction count (also published as the
   /// crp.cache.evictions obs counter).  This is the targeted
-  /// invalidation path for caches that outlive one ECC phase (the ECO
-  /// engine's persistent cache): after demand changes inside a region,
-  /// evict the entries whose terminal bbox the region touches — the
-  /// pattern-route containment contract (pattern_route.hpp) guarantees
-  /// every other entry priced against state that did not change.
-  /// Deterministic: the survivor set depends only on the entry keys and
-  /// the predicate, never on shard layout or thread schedule.
-  std::size_t invalidateTerminals(
-      const std::function<bool(const std::vector<groute::GPoint>&)>&
-          shouldEvict);
-
-  /// invalidateTerminals specialized to the bbox-overlap predicate every
-  /// caller actually uses: evicts entries whose terminal bbox overlaps
-  /// any of `regions`.  A persistent cache holds entries for the whole
-  /// die while a delta touches a sliver of it, so the scan
+  /// invalidation path for a cache that outlives one ECC phase: after
+  /// demand changes inside a region, evict the entries whose terminal
+  /// bbox the region touches — the pattern-route containment contract
+  /// (pattern_route.hpp) guarantees every other entry priced against
+  /// state that did not change.  A persistent cache holds entries for
+  /// the whole die while a delta touches a sliver of it, so the scan
   /// short-circuits on the union bound of `regions` first — entries far
   /// from the dirty region cost four comparisons, not a scan of every
-  /// rect.  Same determinism guarantee as invalidateTerminals.
+  /// rect.  Deterministic: the survivor set depends only on the entry
+  /// keys and the regions, never on shard layout or thread schedule.
   std::size_t invalidateRegions(
       const std::vector<groute::GCellRect>& regions);
 
   /// Drops every entry (counters are kept; they describe work done, not
-  /// residency).  Equivalent to invalidateTerminals(always-true) minus
-  /// the predicate calls.
+  /// residency).
   void clear();
 
   /// Snapshot of every (canonical terminal set, cached price) entry, in
@@ -177,7 +147,6 @@ class PricingCache {
   };
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::uint64_t shardMask_ = 0;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> deltaSkips_{0};

@@ -1,7 +1,6 @@
 #include "lefdef/def_writer.hpp"
 
-#include <fstream>
-#include <stdexcept>
+#include "util/file_io.hpp"
 
 namespace crp::lefdef {
 
@@ -133,9 +132,8 @@ void writeDef(std::ostream& os, const Database& db) {
 }
 
 void writeDefFile(const std::string& path, const Database& db) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write DEF file: " + path);
-  writeDef(out, db);
+  util::writeFileAtomicOrThrow(
+      path, [&db](std::ostream& out) { writeDef(out, db); });
 }
 
 }  // namespace crp::lefdef

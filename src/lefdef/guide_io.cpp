@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/file_io.hpp"
 #include "util/string_util.hpp"
 
 namespace crp::lefdef {
@@ -22,9 +23,8 @@ void writeGuides(std::ostream& os, const db::Database& db,
 
 void writeGuidesFile(const std::string& path, const db::Database& db,
                      const std::vector<NetGuide>& guides) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write guide file: " + path);
-  writeGuides(out, db, guides);
+  util::writeFileAtomicOrThrow(
+      path, [&](std::ostream& out) { writeGuides(out, db, guides); });
 }
 
 std::vector<NetGuide> parseGuides(const std::string& text,

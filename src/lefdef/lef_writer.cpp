@@ -1,8 +1,6 @@
 #include "lefdef/lef_writer.hpp"
 
-#include <fstream>
-#include <stdexcept>
-
+#include "util/file_io.hpp"
 #include "util/string_util.hpp"
 
 namespace crp::lefdef {
@@ -133,9 +131,8 @@ void writeLef(std::ostream& os, const db::Tech& tech, const db::Library& lib) {
 
 void writeLefFile(const std::string& path, const db::Tech& tech,
                   const db::Library& lib) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write LEF file: " + path);
-  writeLef(out, tech, lib);
+  util::writeFileAtomicOrThrow(
+      path, [&](std::ostream& out) { writeLef(out, tech, lib); });
 }
 
 }  // namespace crp::lefdef

@@ -220,24 +220,25 @@ ReportDiff diffReports(const RunReport& a, const RunReport& b) {
 
   const std::size_t iterationCount =
       std::max(a.iterationStats.size(), b.iterationStats.size());
+  const TimelineRecord absent;  // the side that ran fewer iterations
   for (std::size_t i = 0; i < iterationCount; ++i) {
     ReportDiff::IterationDelta d;
     d.iteration = static_cast<int>(i);
-    const RunReport::IterationStat statA =
-        i < a.iterationStats.size() ? a.iterationStats[i]
-                                    : RunReport::IterationStat{};
-    const RunReport::IterationStat statB =
-        i < b.iterationStats.size() ? b.iterationStats[i]
-                                    : RunReport::IterationStat{};
+    // Record i is iteration i in both reports, so overflow brackets
+    // pair by iteration number even when captures started late.
+    const TimelineRecord& statA =
+        i < a.iterationStats.size() ? a.iterationStats[i] : absent;
+    const TimelineRecord& statB =
+        i < b.iterationStats.size() ? b.iterationStats[i] : absent;
     d.movedCells = statB.movedCells - statA.movedCells;
     d.reroutedNets = statB.reroutedNets - statA.reroutedNets;
     d.selectedCost = statB.selectedCost - statA.selectedCost;
     d.netsPriced = static_cast<std::int64_t>(statB.netsPriced) -
                    static_cast<std::int64_t>(statA.netsPriced);
-    if (i < a.timeline.size() && i < b.timeline.size()) {
+    if (statA.overflowCaptured && statB.overflowCaptured) {
       d.hasOverflow = true;
-      d.overflowAfterA = a.timeline[i].overflowAfter;
-      d.overflowAfterB = b.timeline[i].overflowAfter;
+      d.overflowAfterA = statA.overflowAfter;
+      d.overflowAfterB = statB.overflowAfter;
     }
     diff.iterations.push_back(d);
   }

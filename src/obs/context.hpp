@@ -1,7 +1,7 @@
 // Per-session observability context.
 //
 // Through PR 7 every instrument lived in a process-wide singleton
-// (MetricsRegistry/Tracer/FlightRecorder::instance(), the util
+// (one metrics registry, tracer and flight recorder, plus the util
 // Logger).  That was fine for one CLI invocation, but two flows in one
 // process — `runEco` after `run`, or two `crp serve` sessions on the
 // shared worker pool — would interleave each other's counters, spans,

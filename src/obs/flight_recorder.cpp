@@ -1,18 +1,10 @@
 #include "obs/flight_recorder.hpp"
 
-#include <fstream>
 #include <utility>
 
-#include "obs/context.hpp"
 #include "util/file_io.hpp"
 
 namespace crp::obs {
-
-FlightRecorder& FlightRecorder::instance() {
-  // Deprecated shim: recorders are per-ObsContext now; the "process
-  // recorder" is the default context's.
-  return ObsContext::defaultContext().flightRecorder();
-}
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {

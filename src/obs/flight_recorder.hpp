@@ -41,9 +41,6 @@ class FlightRecorder {
   static constexpr int kSchemaVersion = 1;
   static constexpr std::size_t kDefaultCapacity = 256;
 
-  /// Process-wide recorder (the one CRP_OBS_EVENT appends to).
-  static FlightRecorder& instance();
-
   explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
 
   void record(std::string_view category, std::string_view label,

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/context.hpp"
-
 namespace crp::obs {
 
 std::vector<std::uint64_t> Histogram::defaultBounds() {
@@ -120,12 +118,6 @@ Json MetricsSnapshot::toJson() const {
   }
   root.set("histograms", std::move(histObj));
   return root;
-}
-
-MetricsRegistry& MetricsRegistry::instance() {
-  // Deprecated shim: registries are per-ObsContext now; the "process
-  // registry" is the default context's.
-  return ObsContext::defaultContext().metrics();
 }
 
 Counter* MetricsRegistry::counter(const std::string& name) {

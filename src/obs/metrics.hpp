@@ -128,9 +128,6 @@ struct MetricsSnapshot {
 
 class MetricsRegistry {
  public:
-  /// Process-wide default registry (the one the CRP_OBS_* macros use).
-  static MetricsRegistry& instance();
-
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;

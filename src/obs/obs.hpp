@@ -39,13 +39,6 @@ inline bool enabled() { return currentContext().enabled(); }
 
 inline void setEnabled(bool on) { currentContext().setEnabled(on); }
 
-/// Deprecated shim (pre-ObsContext name): clears the ambient context's
-/// registry, tracer and flight recorder.  Other contexts are never
-/// touched — a second in-process run can no longer clobber the first
-/// run's live instruments.  New code should call
-/// currentContext().reset() (or reset the context it owns) directly.
-inline void resetAll() { currentContext().reset(); }
-
 /// RAII scope: enables the ambient context's observability for its
 /// lifetime, restoring the previous state on exit (used by tests).
 class EnabledScope {

@@ -20,6 +20,29 @@ double doubleField(const Json& obj, std::string_view key) {
   return obj.at(key).asDouble();
 }
 
+/// Sets "iterations_detail" (every record's scalar summary) and, when
+/// any record was captured, "timeline" (the captured ones in full).
+void setIterationRecords(Json& root,
+                         const std::vector<TimelineRecord>& records) {
+  Json iterArr = Json::array();
+  Json timelineArr = Json::array();
+  for (const TimelineRecord& record : records) {
+    Json i = Json::object();
+    i.set("criticalCells", record.criticalCells);
+    i.set("movedCells", record.movedCells);
+    i.set("displacedCells", record.displacedCells);
+    i.set("reroutedNets", record.reroutedNets);
+    i.set("selectedCost", record.selectedCost);
+    i.set("netsPriced", record.netsPriced);
+    iterArr.append(std::move(i));
+    if (record.overflowCaptured) timelineArr.append(record.toJson());
+  }
+  root.set("iterations_detail", std::move(iterArr));
+  if (!timelineArr.asArray().empty()) {
+    root.set("timeline", std::move(timelineArr));
+  }
+}
+
 }  // namespace
 
 double RunReport::phaseSeconds(const std::string& name) const {
@@ -33,6 +56,14 @@ double RunReport::totalPhaseSeconds() const {
   double total = 0.0;
   for (const PhaseStat& phase : phases) total += phase.seconds;
   return total;
+}
+
+std::vector<TimelineRecord> RunReport::timeline() const {
+  std::vector<TimelineRecord> captured;
+  for (const TimelineRecord& record : iterationStats) {
+    if (record.overflowCaptured) captured.push_back(record);
+  }
+  return captured;
 }
 
 Json RunReport::toJson() const {
@@ -54,26 +85,7 @@ Json RunReport::toJson() const {
   }
   root.set("phases", std::move(phaseArr));
 
-  Json iterArr = Json::array();
-  for (const IterationStat& it : iterationStats) {
-    Json i = Json::object();
-    i.set("criticalCells", it.criticalCells);
-    i.set("movedCells", it.movedCells);
-    i.set("displacedCells", it.displacedCells);
-    i.set("reroutedNets", it.reroutedNets);
-    i.set("selectedCost", it.selectedCost);
-    i.set("netsPriced", it.netsPriced);
-    iterArr.append(std::move(i));
-  }
-  root.set("iterations_detail", std::move(iterArr));
-
-  if (!timeline.empty()) {
-    Json timelineArr = Json::array();
-    for (const TimelineRecord& record : timeline) {
-      timelineArr.append(record.toJson());
-    }
-    root.set("timeline", std::move(timelineArr));
-  }
+  setIterationRecords(root, iterationStats);
 
   Json pricingObj = Json::object();
   pricingObj.set("cacheHits", pricing.cacheHits);
@@ -133,19 +145,29 @@ RunReport RunReport::fromJson(const Json& json) {
   }
 
   for (const Json& i : json.at("iterations_detail").asArray()) {
-    IterationStat it;
-    it.criticalCells = static_cast<int>(intField(i, "criticalCells"));
-    it.movedCells = static_cast<int>(intField(i, "movedCells"));
-    it.displacedCells = static_cast<int>(intField(i, "displacedCells"));
-    it.reroutedNets = static_cast<int>(intField(i, "reroutedNets"));
-    it.selectedCost = doubleField(i, "selectedCost");
-    it.netsPriced = uintField(i, "netsPriced");
-    report.iterationStats.push_back(it);
+    TimelineRecord record;
+    record.iteration = static_cast<int>(report.iterationStats.size());
+    record.criticalCells = static_cast<int>(intField(i, "criticalCells"));
+    record.movedCells = static_cast<int>(intField(i, "movedCells"));
+    record.displacedCells = static_cast<int>(intField(i, "displacedCells"));
+    record.reroutedNets = static_cast<int>(intField(i, "reroutedNets"));
+    record.selectedCost = doubleField(i, "selectedCost");
+    record.netsPriced = uintField(i, "netsPriced");
+    report.iterationStats.push_back(record);
   }
 
+  // A timeline entry is the full form of the iterations_detail entry
+  // with the same iteration number (captures may start late, e.g. when
+  // the obs gate was switched on mid-run).
   if (const Json* timelineArr = json.find("timeline")) {
-    for (const Json& record : timelineArr->asArray()) {
-      report.timeline.push_back(TimelineRecord::fromJson(record));
+    for (const Json& entry : timelineArr->asArray()) {
+      const TimelineRecord record = TimelineRecord::fromJson(entry);
+      const auto index = static_cast<std::size_t>(record.iteration);
+      if (record.iteration < 0 || index >= report.iterationStats.size()) {
+        throw JsonError("timeline entry without an iterations_detail entry",
+                        0);
+      }
+      report.iterationStats[index] = record;
     }
   }
 
@@ -191,31 +213,12 @@ Json RunReport::fingerprint() const {
   fp.set("iterations", iterations);
   fp.set("seed", seed);
 
-  Json iterArr = Json::array();
-  for (const IterationStat& it : iterationStats) {
-    Json i = Json::object();
-    i.set("criticalCells", it.criticalCells);
-    i.set("movedCells", it.movedCells);
-    i.set("displacedCells", it.displacedCells);
-    i.set("reroutedNets", it.reroutedNets);
-    i.set("selectedCost", it.selectedCost);
-    i.set("netsPriced", it.netsPriced);
-    iterArr.append(std::move(i));
-  }
-  fp.set("iterations_detail", std::move(iterArr));
-
   // Timeline records are deterministic end to end (damping draws come
   // from the seeded serial RNG; overflow/displacement are value-exact
   // across thread counts), so they join the fingerprint whenever
   // present.  Absent when snapshots are off, which keeps pre-spatial
   // golden fingerprints byte-identical.
-  if (!timeline.empty()) {
-    Json timelineArr = Json::array();
-    for (const TimelineRecord& record : timeline) {
-      timelineArr.append(record.toJson());
-    }
-    fp.set("timeline", std::move(timelineArr));
-  }
+  setIterationRecords(fp, iterationStats);
 
   fp.set("netsPriced", pricing.netsPriced());
   fp.set("ilpSolves", ilp.solves);

@@ -1,7 +1,7 @@
 // Machine-readable per-run report for the CR&P flow.
 //
 // The framework fills a RunReport as it runs (phase wall times,
-// per-iteration stats, pricing-cache and ILP counter deltas, final
+// one record per iteration, pricing-cache and ILP counter deltas, final
 // router stats); the CLI serializes it with toJson() and formats the
 // human-readable telemetry from the same object, so phase names exist
 // in exactly one place (core::kPhases) instead of being re-typed by
@@ -28,9 +28,32 @@
 
 namespace crp::obs {
 
+/// ECC pricing-engine counters: one phase's (PricingCache), or summed
+/// over a run (RunReport::pricing).
+struct PricingStats {
+  std::uint64_t cacheHits = 0;    ///< priced from the cache
+  std::uint64_t cacheMisses = 0;  ///< pattern routes actually executed
+  std::uint64_t deltaSkips = 0;   ///< nets skipped: terminals unchanged
+
+  std::uint64_t netsPriced() const {
+    return cacheHits + cacheMisses + deltaSkips;
+  }
+  double hitRate() const {
+    const std::uint64_t reused = cacheHits + deltaSkips;
+    const std::uint64_t total = reused + cacheMisses;
+    return total == 0 ? 0.0 : static_cast<double>(reused) / total;
+  }
+  PricingStats& operator+=(const PricingStats& other) {
+    cacheHits += other.cacheHits;
+    cacheMisses += other.cacheMisses;
+    deltaSkips += other.deltaSkips;
+    return *this;
+  }
+};
+
 struct RunReport {
   /// v2: adds the optional "timeline" array (spatial observability
-  /// tier, one TimelineRecord per iteration when snapshots are on).
+  /// tier, the full record of every captured iteration).
   static constexpr int kSchemaVersion = 2;
   /// Version stamp inside fingerprint() documents.  Deliberately
   /// decoupled from kSchemaVersion: the fingerprint only changes when
@@ -50,38 +73,17 @@ struct RunReport {
   };
   std::vector<PhaseStat> phases;
 
-  // ---- per-iteration stats --------------------------------------------------
-  struct IterationStat {
-    int criticalCells = 0;
-    int movedCells = 0;
-    int displacedCells = 0;
-    int reroutedNets = 0;
-    double selectedCost = 0.0;
-    std::uint64_t netsPriced = 0;  ///< hits + misses + delta skips
-  };
-  std::vector<IterationStat> iterationStats;
-
-  /// Spatial-tier per-iteration records (timeline.hpp); filled only
-  /// when CrpOptions::snapshots is on.  Serialized under "timeline"
-  /// when non-empty; absent otherwise (and optional on parse), so
-  /// snapshot-off reports are unchanged apart from the version field.
-  std::vector<TimelineRecord> timeline;
+  // ---- per-iteration records ------------------------------------------------
+  /// One record per CR&P iteration, in run order (record i has
+  /// iteration == i).  Every record is serialized under
+  /// "iterations_detail" (its scalar summary); the records whose
+  /// overflow bracket was captured (CrpOptions::snapshots) are also
+  /// serialized in full under "timeline", which is absent when there
+  /// are none — so snapshot-off reports keep the pre-timeline shape.
+  std::vector<TimelineRecord> iterationStats;
 
   // ---- ECC pricing-cache totals (summed over iterations) --------------------
-  struct PricingTotals {
-    std::uint64_t cacheHits = 0;
-    std::uint64_t cacheMisses = 0;
-    std::uint64_t deltaSkips = 0;
-    std::uint64_t netsPriced() const {
-      return cacheHits + cacheMisses + deltaSkips;
-    }
-    double hitRate() const {
-      const std::uint64_t reused = cacheHits + deltaSkips;
-      const std::uint64_t total = reused + cacheMisses;
-      return total == 0 ? 0.0 : static_cast<double>(reused) / total;
-    }
-  };
-  PricingTotals pricing;
+  PricingStats pricing;
 
   // ---- ILP solver totals (GCP legalizer + SEL selection) --------------------
   struct IlpTotals {
@@ -115,6 +117,8 @@ struct RunReport {
   double phaseSeconds(const std::string& name) const;
   /// Sum of all phase wall times.
   double totalPhaseSeconds() const;
+  /// The records with a captured overflow bracket (the "timeline").
+  std::vector<TimelineRecord> timeline() const;
 
   Json toJson() const;
   /// Throws JsonError on malformed payloads or schema-version mismatch.

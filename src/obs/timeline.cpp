@@ -49,6 +49,7 @@ TimelineRecord TimelineRecord::fromJson(const Json& json) {
   record.overflowedEdgesAfter =
       static_cast<int>(json.at("overflowedEdgesAfter").asInt());
   if (const Json* eco = json.find("eco")) record.eco = eco->asBool();
+  record.overflowCaptured = true;  // only captured records are serialized
   return record;
 }
 

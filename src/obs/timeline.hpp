@@ -1,15 +1,15 @@
 // Flow timeline: one structured record per CR&P iteration.
 //
-// Where RunReport::IterationStat keeps the PR-2 scalar summary, a
-// TimelineRecord captures the full per-iteration story the spatial
-// observability tier tells: how many cells the LCC phase labeled and
-// how many the annealing history damped away, how many candidates GCP
-// generated and ECC priced, what SEL selected vs what the UD commit
-// actually applied, the displacement the moves cost, and the wire
-// overflow before/after the iteration (matching the congestion totals
-// of the bracketing HeatmapSnapshots).  All fields are deterministic
-// across thread counts, so the records are part of the RunReport
-// fingerprint whenever they are present.
+// A TimelineRecord is the single per-iteration record of a run
+// (RunReport::iterationStats; CrpFramework::runIteration returns it):
+// how many cells the LCC phase labeled and how many the annealing
+// history damped away, how many candidates GCP generated and ECC
+// priced, what SEL selected vs what the UD commit actually applied,
+// the displacement the moves cost, and — when the spatial tier
+// captured it — the wire overflow before/after the iteration
+// (matching the congestion totals of the bracketing
+// HeatmapSnapshots).  All fields are deterministic across thread
+// counts, so captured records are part of the RunReport fingerprint.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +39,8 @@ struct TimelineRecord {
   std::int64_t maxDisplacementDbu = 0;
   int reroutedNets = 0;
 
-  // Wire overflow bracketing the iteration (congestionStats totals).
+  // Wire overflow bracketing the iteration (congestionStats totals);
+  // zero unless overflowCaptured.
   double overflowBefore = 0.0;
   double overflowAfter = 0.0;
   int overflowedEdgesBefore = 0;
@@ -50,6 +51,12 @@ struct TimelineRecord {
   /// batch-run reports — and their fingerprints — stay byte-identical
   /// to the pre-ECO format.
   bool eco = false;
+
+  /// True when the spatial tier captured the overflow bracket
+  /// (CrpOptions::snapshots with the obs gate on).  Only captured
+  /// records make up the serialized "timeline", so the flag itself is
+  /// not serialized and fromJson sets it.
+  bool overflowCaptured = false;
 
   Json toJson() const;
   static TimelineRecord fromJson(const Json& json);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 
-#include "obs/context.hpp"
 #include "obs/json.hpp"
 
 namespace crp::obs {
@@ -27,12 +26,6 @@ thread_local std::vector<CacheEntry> tlsLogs;
 Tracer::Tracer()
     : epoch_(std::chrono::steady_clock::now()),
       id_(nextTracerId.fetch_add(1, std::memory_order_relaxed)) {
-}
-
-Tracer& Tracer::instance() {
-  // Deprecated shim: tracers are per-ObsContext now; the "process
-  // tracer" is the default context's.
-  return ObsContext::defaultContext().tracer();
 }
 
 Tracer::ThreadLog& Tracer::threadLog() {

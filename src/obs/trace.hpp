@@ -38,9 +38,6 @@ struct SpanRecord {
 
 class Tracer {
  public:
-  /// Process-wide default tracer (the one CRP_OBS_SPAN uses).
-  static Tracer& instance();
-
   Tracer();
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;

@@ -77,8 +77,8 @@ core::CrpOptions crpOptionsFromParams(Session& session,
 }
 
 /// Installs the per-iteration streaming callback: a compact event with
-/// the iteration's headline numbers plus — when the spatial tier is on
-/// — the full TimelineRecord and the newest heatmap delta.  Captures
+/// the iteration's headline numbers plus — when the spatial tier
+/// captured it — the full record and the newest heatmap delta.  Captures
 /// by value (the callback outlives the installing job's stack).
 void installStreaming(Session& session, EventSink emit) {
   core::CrpFramework* framework = session.framework.get();
@@ -87,19 +87,15 @@ void installStreaming(Session& session, EventSink emit) {
     return;
   }
   framework->setIterationCallback(
-      [framework, emit = std::move(emit)](
-          int iteration, const core::IterationReport& report) {
+      [framework, emit = std::move(emit)](const obs::TimelineRecord& record) {
         obs::Json event = obs::Json::object();
         event.set("event", "iteration");
-        event.set("iteration", iteration);
-        event.set("criticalCells", report.criticalCells);
-        event.set("movedCells", report.movedCells);
-        event.set("reroutedNets", report.reroutedNets);
-        event.set("selectedCost", report.selectedCost);
-        const obs::RunReport& runReport = framework->runReport();
-        if (!runReport.timeline.empty()) {
-          event.set("timeline", runReport.timeline.back().toJson());
-        }
+        event.set("iteration", record.iteration);
+        event.set("criticalCells", record.criticalCells);
+        event.set("movedCells", record.movedCells);
+        event.set("reroutedNets", record.reroutedNets);
+        event.set("selectedCost", record.selectedCost);
+        if (record.overflowCaptured) event.set("timeline", record.toJson());
         if (!framework->heatmaps().empty()) {
           event.set("heatmapDelta", framework->heatmaps().latestEntryJson());
         }
@@ -162,7 +158,7 @@ obs::Json runRunJob(Session& session, const obs::Json& params,
   session.framework = std::make_unique<core::CrpFramework>(
       *session.db, *session.router, options);
   installStreaming(session, emit);
-  const core::CrpReport crp = session.framework->run();
+  const obs::RunReport& crp = session.framework->run();
 
   obs::Json result = obs::Json::object();
   result.set("event", "result");
@@ -219,8 +215,8 @@ obs::Json runEcoJob(Session& session, const obs::Json& params,
   ecoJson.set("scopeCells", report.scopeCells);
   ecoJson.set("cacheEvictions",
               static_cast<std::int64_t>(report.cacheEvictions));
-  ecoJson.set("totalMoves", report.crp.totalMoves);
-  ecoJson.set("totalReroutes", report.crp.totalReroutes);
+  ecoJson.set("totalMoves", report.moves);
+  ecoJson.set("totalReroutes", report.reroutes);
   ecoJson.set("patchSeconds", report.patchSeconds);
   ecoJson.set("totalSeconds", report.totalSeconds);
   result.set("eco", std::move(ecoJson));

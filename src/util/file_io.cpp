@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <system_error>
 
 #include <fcntl.h>
@@ -36,6 +37,16 @@ std::string tempPathFor(const std::string& path) {
 bool writeFileAtomic(const std::string& path,
                      const std::function<bool(std::ostream&)>& produce,
                      std::string* error) {
+  // The rename below would replace whatever sits at `path`: refuse
+  // anything but a regular file (a device such as /dev/null, a FIFO or
+  // a directory) rather than clobber it.
+  std::error_code statEc;
+  const auto status = std::filesystem::status(path, statEc);
+  if (std::filesystem::exists(status) &&
+      !std::filesystem::is_regular_file(status)) {
+    setError(error, path + " exists and is not a regular file");
+    return false;
+  }
   const std::string tmp = tempPathFor(path);
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
@@ -90,6 +101,19 @@ bool writeFileAtomic(const std::string& path, std::string_view content,
         return os.good();
       },
       error);
+}
+
+void writeFileAtomicOrThrow(const std::string& path,
+                            const std::function<void(std::ostream&)>& write) {
+  std::string error;
+  const bool ok = writeFileAtomic(
+      path,
+      [&write](std::ostream& os) {
+        write(os);
+        return os.good();
+      },
+      &error);
+  if (!ok) throw std::runtime_error("cannot write " + path + ": " + error);
 }
 
 bool appendLineAtomic(const std::string& path, std::string_view line,

@@ -25,7 +25,8 @@ namespace crp::util {
 /// flush, rename) the temp file is removed, false is returned, and a
 /// one-line reason is stored in *error (when non-null).  The producer
 /// may itself return false to abort (e.g. after detecting its own
-/// serialization problem).
+/// serialization problem).  An existing `path` that is not a regular
+/// file (a device, FIFO or directory) is refused, never replaced.
 bool writeFileAtomic(const std::string& path,
                      const std::function<bool(std::ostream&)>& produce,
                      std::string* error = nullptr);
@@ -33,6 +34,12 @@ bool writeFileAtomic(const std::string& path,
 /// Convenience overload for ready-made content.
 bool writeFileAtomic(const std::string& path, std::string_view content,
                      std::string* error = nullptr);
+
+/// writeFileAtomic for artifact writers (DEF, LEF, guides, SVG, report
+/// renderings): `write` streams the content, and any failure throws
+/// std::runtime_error naming `path` and the reason.
+void writeFileAtomicOrThrow(const std::string& path,
+                            const std::function<void(std::ostream&)>& write);
 
 /// Appends one record line to an append-only file (the run-ledger
 /// JSONL, docs/observability.md).  writeFileAtomic's temp+rename is

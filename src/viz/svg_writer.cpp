@@ -1,9 +1,9 @@
 #include "viz/svg_writer.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <unordered_set>
 
+#include "util/file_io.hpp"
 #include "util/string_util.hpp"
 
 namespace crp::viz {
@@ -123,9 +123,8 @@ void writeSvg(std::ostream& os, const db::Database& db,
 void writeSvgFile(const std::string& path, const db::Database& db,
                   const groute::GlobalRouter* router,
                   const SvgOptions& options) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write SVG file: " + path);
-  writeSvg(out, db, router, options);
+  util::writeFileAtomicOrThrow(
+      path, [&](std::ostream& out) { writeSvg(out, db, router, options); });
 }
 
 }  // namespace crp::viz

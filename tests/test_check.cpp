@@ -446,7 +446,7 @@ TEST(FuzzSpec, ReplayCommandCarriesScenarioAxes) {
 // failure, the recent events, and a decodable heatmap.
 TEST(FlightDump, DirtyAuditWritesRenderableArtifact) {
   obs::EnabledScope enabled(true);
-  obs::resetAll();
+  obs::currentContext().reset();
 
   auto db = crp::testing::makeGridDatabase(12, 6);
   groute::GlobalRouter router(db);
@@ -456,7 +456,7 @@ TEST(FlightDump, DirtyAuditWritesRenderableArtifact) {
   options.snapshots = true;
   core::CrpFramework framework(db, router, options);
   framework.run();
-  ASSERT_GT(obs::FlightRecorder::instance().totalRecorded(), 0u);
+  ASSERT_GT(obs::currentContext().flightRecorder().totalRecorded(), 0u);
 
   // Inject the corruption, audit, and dump on the dirty report.  The
   // context string's '/' must be sanitized away in the filename.
@@ -512,7 +512,7 @@ TEST(FlightDump, DirtyAuditWritesRenderableArtifact) {
   const obs::HeatmapSnapshot heatmap =
       obs::HeatmapSnapshot::fromJson(dump.at("latestHeatmap"));
   EXPECT_EQ(heatmap.toJson(), framework.heatmaps().latest().toJson());
-  obs::resetAll();
+  obs::currentContext().reset();
 }
 
 TEST(FlightDump, AuditReportJsonMirrorsFailures) {

@@ -374,10 +374,10 @@ TEST(Framework, ReportCountsAreConsistent) {
   CrpOptions options;
   options.iterations = 2;
   CrpFramework framework(f.db, f.router, options);
-  const CrpReport report = framework.run();
-  ASSERT_EQ(report.iterations.size(), 2u);
+  const obs::RunReport& report = framework.run();
+  ASSERT_EQ(report.iterationStats.size(), 2u);
   int moves = 0;
-  for (const auto& iteration : report.iterations) {
+  for (const auto& iteration : report.iterationStats) {
     EXPECT_GE(iteration.criticalCells, 0);
     EXPECT_LE(iteration.movedCells, iteration.criticalCells);
     moves += iteration.movedCells + iteration.displacedCells;
@@ -448,7 +448,7 @@ TEST(Framework, MoveBudgetEnforced) {
   options.iterations = 5;
   options.maxMovesTotal = 3;
   CrpFramework framework(f.db, f.router, options);
-  const CrpReport report = framework.run();
+  const obs::RunReport& report = framework.run();
   EXPECT_LE(report.totalMoves, 3);
   EXPECT_TRUE(db::isPlacementLegal(f.db));
 }
@@ -549,7 +549,7 @@ TEST(Framework, MoveBudgetCarriesOverAcrossIterations) {
   CrpFramework framework(f.db, f.router, options);
   int cumulative = 0;
   for (int k = 0; k < options.iterations; ++k) {
-    const IterationReport report = framework.runIteration();
+    const obs::TimelineRecord report = framework.runIteration();
     cumulative += report.movedCells + report.displacedCells;
     EXPECT_LE(cumulative, options.maxMovesTotal) << "iteration " << k;
   }
@@ -562,7 +562,7 @@ TEST(Framework, MoveBudgetCarriesOverAcrossIterations) {
 #ifndef CRP_OBS_DISABLED
 TEST(FrameworkSpatial, SnapshotsBracketEveryIteration) {
   obs::EnabledScope enabled(true);
-  obs::resetAll();
+  obs::currentContext().reset();
   Fixture f;
   CrpOptions options;
   options.iterations = 3;
@@ -579,9 +579,10 @@ TEST(FrameworkSpatial, SnapshotsBracketEveryIteration) {
   EXPECT_EQ(series.snapshot(3).label, "iter2");
 
   const obs::RunReport& report = framework.runReport();
-  ASSERT_EQ(report.timeline.size(), 3u);
-  for (std::size_t i = 0; i < report.timeline.size(); ++i) {
-    const obs::TimelineRecord& record = report.timeline[i];
+  ASSERT_EQ(report.timeline().size(), 3u);
+  for (std::size_t i = 0; i < report.timeline().size(); ++i) {
+    const obs::TimelineRecord& record = report.iterationStats[i];
+    EXPECT_TRUE(record.overflowCaptured);
     EXPECT_EQ(record.iteration, static_cast<int>(i));
     // Each record's overflow bracket matches the bracketing snapshots.
     EXPECT_DOUBLE_EQ(record.overflowBefore,
@@ -593,12 +594,12 @@ TEST(FrameworkSpatial, SnapshotsBracketEveryIteration) {
     EXPECT_GE(record.criticalCells, 0);
     EXPECT_GE(record.totalDisplacementDbu, record.maxDisplacementDbu);
   }
-  obs::resetAll();
+  obs::currentContext().reset();
 }
 
 TEST(FrameworkSpatial, TimelineOverflowMatchesAuditedDemand) {
   obs::EnabledScope enabled(true);
-  obs::resetAll();
+  obs::currentContext().reset();
   Fixture f;
   CrpOptions options;
   options.iterations = 2;
@@ -613,28 +614,28 @@ TEST(FrameworkSpatial, TimelineOverflowMatchesAuditedDemand) {
 
   const auto stats = f.router.graph().congestionStats();
   const obs::RunReport& report = framework.runReport();
-  ASSERT_FALSE(report.timeline.empty());
-  EXPECT_DOUBLE_EQ(report.timeline.back().overflowAfter,
+  ASSERT_FALSE(report.timeline().empty());
+  EXPECT_DOUBLE_EQ(report.iterationStats.back().overflowAfter,
                    stats.totalOverflow);
-  EXPECT_EQ(report.timeline.back().overflowedEdgesAfter,
+  EXPECT_EQ(report.iterationStats.back().overflowedEdgesAfter,
             stats.overflowedEdges);
   EXPECT_DOUBLE_EQ(framework.heatmaps().latest().totalOverflow,
                    stats.totalOverflow);
-  obs::resetAll();
+  obs::currentContext().reset();
 }
 
 TEST(FrameworkSpatial, SnapshotsOffLeavesReportAndRecorderUntouched) {
   obs::EnabledScope enabled(true);
-  obs::resetAll();
+  obs::currentContext().reset();
   Fixture f;
   CrpOptions options;
   options.iterations = 1;
   CrpFramework framework(f.db, f.router, options);  // snapshots default off
   framework.run();
   EXPECT_TRUE(framework.heatmaps().empty());
-  EXPECT_TRUE(framework.runReport().timeline.empty());
+  EXPECT_TRUE(framework.runReport().timeline().empty());
   EXPECT_EQ(framework.runReport().toJson().find("timeline"), nullptr);
-  obs::resetAll();
+  obs::currentContext().reset();
 }
 #endif  // CRP_OBS_DISABLED
 
@@ -648,7 +649,7 @@ TEST(Framework, ZeroMoveBudgetFreezesPlacement) {
   options.iterations = 2;
   options.maxMovesTotal = 0;
   CrpFramework framework(f.db, f.router, options);
-  const CrpReport report = framework.run();
+  const obs::RunReport& report = framework.run();
   EXPECT_EQ(report.totalMoves, 0);
   for (CellId c = 0; c < f.db.numCells(); ++c) {
     EXPECT_EQ(f.db.cell(c).pos, before[c]);

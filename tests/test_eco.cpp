@@ -3,7 +3,7 @@
 // CrpFramework::runEco (clean audits, thread-count determinism), and
 // the persistent pricing cache's targeted invalidation — including the
 // mutation test that shows a deliberately-stale entry is caught by the
-// pricing-coherence invariant and cured by invalidateTerminals.
+// pricing-coherence invariant and cured by invalidateRegions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -223,11 +223,11 @@ struct RoutedFixture {
   groute::GlobalRouter router;
 };
 
-TEST(EcoCache, InvalidateTerminalsEvictsOnlyOverlap) {
+TEST(EcoCache, InvalidateRegionsEvictsOnlyOverlap) {
   RoutedFixture f;
   const groute::PatternRouter pattern(f.router.graph());
   groute::PatternRouter::Scratch scratch;
-  core::PricingCache cache(8);
+  core::PricingCache cache;
   std::vector<GPoint> left{{0, 0, 0}, {0, 1, 1}};
   std::vector<GPoint> right{{0, 4, 4}, {0, 4, 5}};
   core::canonicalizeTerminals(left);
@@ -237,13 +237,8 @@ TEST(EcoCache, InvalidateTerminalsEvictsOnlyOverlap) {
   ASSERT_EQ(cache.size(), 2u);
 
   // Dirty region covering only the left entry's bbox.
-  const groute::GCellRect dirty{0, 0, 2, 2};
-  const std::size_t evicted = cache.invalidateTerminals(
-      [&dirty](const std::vector<GPoint>& terminals) {
-        groute::GCellRect bbox;
-        for (const GPoint& t : terminals) bbox.cover(t.x, t.y);
-        return bbox.overlaps(dirty);
-      });
+  const std::size_t evicted =
+      cache.invalidateRegions({groute::GCellRect{0, 0, 2, 2}});
   EXPECT_EQ(evicted, 1u);
   EXPECT_EQ(cache.size(), 1u);
   // Survivor is the right entry, still value-exact.
@@ -259,7 +254,7 @@ TEST(EcoCache, StaleEntryCaughtByCoherenceAuditThenCured) {
   RoutedFixture f;
   const groute::PatternRouter pattern(f.router.graph());
   groute::PatternRouter::Scratch scratch;
-  core::PricingCache cache(8);
+  core::PricingCache cache;
   std::vector<GPoint> terminals{{0, 1, 1}, {0, 3, 3}};
   core::canonicalizeTerminals(terminals);
   cache.price(terminals, pattern, scratch);
@@ -309,11 +304,7 @@ TEST(EcoCache, StaleEntryCaughtByCoherenceAuditThenCured) {
   region.expand(f.router.options().mazeMargin + 1,
                 f.router.graph().grid().countX() - 1,
                 f.router.graph().grid().countY() - 1);
-  cache.invalidateTerminals([&region](const std::vector<GPoint>& t) {
-    groute::GCellRect bbox;
-    for (const GPoint& p : t) bbox.cover(p.x, p.y);
-    return bbox.overlaps(region);
-  });
+  cache.invalidateRegions({region});
   check::AuditReport cured;
   check::auditCachedPrices(pattern, cache.entries(), cured);
   EXPECT_CLEAN_AUDIT(cured);
@@ -363,7 +354,9 @@ TEST(RunEco, PatchesAndAuditsClean) {
   EXPECT_GT(report.dirtyNets, 0);
   EXPECT_GT(report.scopeCells, 0);
   EXPECT_EQ(report.failedReroutes, 0);
-  EXPECT_EQ(static_cast<int>(report.crp.iterations.size()), 1);
+  const obs::RunReport& runReport = framework.runReport();
+  ASSERT_EQ(runReport.iterationStats.size(), 2u);
+  EXPECT_TRUE(runReport.iterationStats.back().eco);
 
   const check::DbAuditor auditor(db, &router);
   EXPECT_CLEAN_AUDIT(auditor.auditAll());
@@ -423,8 +416,8 @@ TEST(RunEco, SecondDeltaReusesCache) {
   const db::EcoDelta second = bmgen::perturbDesign(db, {0.01, 22});
   ASSERT_FALSE(second.empty());
   const core::EcoReport r2 = framework.runEco(second);
-  EXPECT_GT(r1.crp.pricing.netsPriced(), 0u);
-  EXPECT_GT(r2.crp.pricing.netsPriced(), 0u);
+  EXPECT_GT(r1.netsPriced, 0u);
+  EXPECT_GT(r2.netsPriced, 0u);
   const check::DbAuditor auditor(db, &router);
   EXPECT_CLEAN_AUDIT(auditor.auditAll());
 }

@@ -257,7 +257,7 @@ TEST(Golden, SpatialSnapshotsAreRouterThreadIndependent) {
   const auto runSpatial = [](const bmgen::BenchmarkSpec& spec,
                              int routerThreads) {
     obs::EnabledScope enabled(true);
-    obs::resetAll();
+    obs::currentContext().reset();
     auto db = bmgen::generateBenchmark(spec);
     groute::GlobalRouterOptions routerOptions;
     routerOptions.routerThreads = routerThreads;
@@ -274,7 +274,7 @@ TEST(Golden, SpatialSnapshotsAreRouterThreadIndependent) {
     run.heatmaps = framework.heatmaps().toJson().dump(2);
     run.fingerprint = framework.runReport().fingerprint();
     run.snapshots = framework.heatmaps().size();
-    obs::resetAll();
+    obs::currentContext().reset();
     return run;
   };
 

@@ -57,7 +57,7 @@ TEST(Integration, CrpFlowPreservesInvariants) {
   options.iterations = 3;
   options.seed = 11;
   core::CrpFramework framework(db, router, options);
-  const auto report = framework.run();
+  const obs::RunReport& report = framework.run();
 
   EXPECT_TRUE(db::isPlacementLegal(db));
   EXPECT_EQ(router.stats().openNets, 0);
@@ -73,7 +73,7 @@ TEST(Integration, CrpFlowPreservesInvariants) {
   // Metrics stay in a sane band (moves are local and legal).
   EXPECT_LT(static_cast<double>(after.wirelengthDbu),
             1.2 * static_cast<double>(before.wirelengthDbu));
-  EXPECT_GT(report.iterations.size(), 0u);
+  EXPECT_GT(report.iterationStats.size(), 0u);
 }
 
 TEST(Integration, CrpMovesCellsOnCongestedDesign) {
@@ -83,9 +83,9 @@ TEST(Integration, CrpMovesCellsOnCongestedDesign) {
   core::CrpOptions options;
   options.iterations = 2;
   core::CrpFramework framework(db, router, options);
-  const auto report = framework.run();
+  const obs::RunReport& report = framework.run();
   int moves = 0;
-  for (const auto& iteration : report.iterations) {
+  for (const auto& iteration : report.iterationStats) {
     moves += iteration.movedCells;
   }
   EXPECT_GT(moves, 0) << "CR&P made no moves on a congested design";

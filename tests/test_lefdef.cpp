@@ -2,6 +2,10 @@
 // round-trip properties: write(parse(x)) preserves all modeled fields.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <filesystem>
 #include <sstream>
 
 #include "db/database.hpp"
@@ -385,6 +389,36 @@ TEST(DefParser, CommentsIgnoredEverywhere) {
   const auto design = parseDef(def, base.tech(), base.library());
   EXPECT_EQ(design.name, "t");
   EXPECT_EQ(design.dieArea, (geom::Rect{0, 0, 10, 10}));
+}
+
+// ---- file writers -----------------------------------------------------------
+
+TEST(FileWriters, FailedWriteThrowsAndLeavesNoFile) {
+  namespace fs = std::filesystem;
+  const auto db = crp::testing::makeTinyDatabase();
+  const fs::path dir = fs::temp_directory_path() /
+                       ("crp_writers_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const fs::path fifo = dir / "taken.def";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  const fs::path missing = dir / "missing";
+  EXPECT_THROW(writeDefFile((missing / "a.def").string(), db),
+               std::runtime_error);
+  EXPECT_THROW(
+      writeLefFile((missing / "a.lef").string(), db.tech(), db.library()),
+      std::runtime_error);
+  EXPECT_THROW(writeGuidesFile((missing / "a.guide").string(), db, {}),
+               std::runtime_error);
+  // A non-regular file in the way is refused, not replaced.
+  EXPECT_THROW(writeDefFile(fifo.string(), db), std::runtime_error);
+  EXPECT_TRUE(fs::is_fifo(fifo));
+  // Only the FIFO is left: no partial file, no temp file.
+  EXPECT_FALSE(fs::exists(missing));
+  EXPECT_EQ(std::distance(fs::directory_iterator(dir),
+                          fs::directory_iterator{}),
+            1);
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -15,7 +15,9 @@
 #include <thread>
 #include <vector>
 
-#include "crp/framework.hpp"  // core::kPhases for the schema test
+#include "bmgen/generator.hpp"
+#include "bmgen/perturb.hpp"
+#include "crp/framework.hpp"
 #include "obs/analytics.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/heatmap.hpp"
@@ -266,43 +268,43 @@ TEST(Tracer, ClearDropsRecords) {
 
 #ifndef CRP_OBS_DISABLED
 TEST(ObsMacros, DisabledFlagSuppressesRecording) {
-  resetAll();
+  currentContext().reset();
   EnabledScope scope(false);
   CRP_OBS_COUNT("macro.disabled", 1);
   { CRP_OBS_SPAN("test", "macro.disabled.span"); }
-  const MetricsSnapshot snap = MetricsRegistry::instance().snapshot();
+  const MetricsSnapshot snap = currentContext().metrics().snapshot();
   const auto it = snap.counters.find("macro.disabled");
   EXPECT_TRUE(it == snap.counters.end() || it->second == 0);
-  EXPECT_TRUE(Tracer::instance().records().empty());
+  EXPECT_TRUE(currentContext().tracer().records().empty());
 }
 
 TEST(ObsMacros, EnabledFlagRecords) {
-  resetAll();
+  currentContext().reset();
   EnabledScope scope(true);
   CRP_OBS_COUNT("macro.enabled", 2);
   CRP_OBS_COUNT("macro.enabled", 3);
   { CRP_OBS_SPAN_ARG("test", "macro.enabled.span", 7); }
-  const MetricsSnapshot snap = MetricsRegistry::instance().snapshot();
+  const MetricsSnapshot snap = currentContext().metrics().snapshot();
   EXPECT_EQ(snap.counters.at("macro.enabled"), 5u);
-  const auto records = Tracer::instance().records();
+  const auto records = currentContext().tracer().records();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].second.name, "macro.enabled.span");
   EXPECT_EQ(records[0].second.arg, 7);
-  resetAll();
+  currentContext().reset();
 }
 
 TEST(ObsMacros, ConcurrentMacroCountsAreExact) {
-  resetAll();
+  currentContext().reset();
   EnabledScope scope(true);
   util::ThreadPool pool(8);
   constexpr int kTasks = 10000;
   pool.parallelFor(kTasks, [&](std::size_t) {
     CRP_OBS_COUNT("macro.concurrent", 1);
   });
-  const MetricsSnapshot snap = MetricsRegistry::instance().snapshot();
+  const MetricsSnapshot snap = currentContext().metrics().snapshot();
   EXPECT_EQ(snap.counters.at("macro.concurrent"),
             static_cast<std::uint64_t>(kTasks));
-  resetAll();
+  currentContext().reset();
 }
 #endif  // CRP_OBS_DISABLED
 
@@ -348,19 +350,6 @@ TEST(ObsContext, ResetIsScopedToOneContext) {
   a.reset();
   EXPECT_EQ(a.metrics().counter("ctx.reset")->value(), 0u);
   EXPECT_EQ(b.metrics().counter("ctx.reset")->value(), 5u);
-}
-
-TEST(ObsContext, DeprecatedResetAllOnlyClearsCurrentContext) {
-  ObsContext session;
-  ObsContext bystander;
-  bystander.metrics().counter("ctx.bystander")->add(7);
-  {
-    ObsContextScope scope(session);
-    session.metrics().counter("ctx.bystander")->add(1);
-    resetAll();  // the legacy shim: scoped, not process-global
-    EXPECT_EQ(session.metrics().counter("ctx.bystander")->value(), 0u);
-  }
-  EXPECT_EQ(bystander.metrics().counter("ctx.bystander")->value(), 7u);
 }
 
 #ifndef CRP_OBS_DISABLED
@@ -448,7 +437,7 @@ RunReport sampleReport() {
   for (const char* phase : core::kPhases) {
     report.phases.push_back(RunReport::PhaseStat{phase, 0.25});
   }
-  RunReport::IterationStat it;
+  TimelineRecord it;
   it.criticalCells = 10;
   it.movedCells = 4;
   it.displacedCells = 1;
@@ -801,19 +790,19 @@ TEST(FlightRecorder, ConcurrentAppendsStayBoundedAndWellFormed) {
 
 #ifndef CRP_OBS_DISABLED
 TEST(FlightRecorder, EventMacroHonoursRuntimeGate) {
-  resetAll();
+  currentContext().reset();
   {
     EnabledScope disabled(false);
     CRP_OBS_EVENT("test", "gated", 1);
-    EXPECT_EQ(FlightRecorder::instance().totalRecorded(), 0u);
+    EXPECT_EQ(currentContext().flightRecorder().totalRecorded(), 0u);
   }
   {
     EnabledScope enabled(true);
     CRP_OBS_EVENT("test", "gated", 2);
-    EXPECT_EQ(FlightRecorder::instance().totalRecorded(), 1u);
-    EXPECT_EQ(FlightRecorder::instance().events().back().value, 2);
+    EXPECT_EQ(currentContext().flightRecorder().totalRecorded(), 1u);
+    EXPECT_EQ(currentContext().flightRecorder().events().back().value, 2);
   }
-  resetAll();
+  currentContext().reset();
 }
 #endif  // CRP_OBS_DISABLED
 
@@ -837,6 +826,7 @@ TimelineRecord sampleTimelineRecord(int iteration) {
   record.overflowAfter = 9.5;
   record.overflowedEdgesBefore = 8;
   record.overflowedEdgesAfter = 5;
+  record.overflowCaptured = true;
   return record;
 }
 
@@ -870,17 +860,61 @@ TEST(RunReportSchema, TimelineIsOptionalAndRoundTrips) {
   // pre-spatial consumers and goldens see byte-identical output.
   const RunReport bare = sampleReport();
   EXPECT_EQ(bare.toJson().find("timeline"), nullptr);
-  EXPECT_TRUE(RunReport::fromJson(bare.toJson()).timeline.empty());
+  EXPECT_TRUE(RunReport::fromJson(bare.toJson()).timeline().empty());
 
   // Present timeline: serialized under the v2 schema and recovered
   // field-for-field.
   RunReport spatial = sampleReport();
-  spatial.timeline = {sampleTimelineRecord(0), sampleTimelineRecord(1)};
+  spatial.iterationStats = {sampleTimelineRecord(0), sampleTimelineRecord(1)};
   const RunReport parsed =
       RunReport::fromJson(Json::parse(spatial.toJson().dump(2)));
-  ASSERT_EQ(parsed.timeline.size(), 2u);
+  ASSERT_EQ(parsed.timeline().size(), 2u);
   EXPECT_EQ(parsed.toJson(), spatial.toJson());
-  EXPECT_EQ(parsed.timeline[1].toJson(), spatial.timeline[1].toJson());
+  EXPECT_EQ(parsed.iterationStats[1].toJson(),
+            spatial.iterationStats[1].toJson());
+
+  // A timeline entry without an iterations_detail entry is malformed.
+  Json orphan = spatial.toJson();
+  orphan.set("iterations_detail", Json::array());
+  EXPECT_THROW(RunReport::fromJson(orphan), JsonError);
+
+  // A real run whose captures start late and which ends with ECO
+  // iterations: iteration 0 runs with the obs gate off (no overflow
+  // bracket), iteration 1 with it on, then one captured ECO iteration.
+  // The timeline holds iterations 1 and 2 only; fromJson pairs each
+  // entry with its iterations_detail entry by iteration number.
+  bmgen::BenchmarkSpec spec;
+  spec.name = "late_capture";
+  spec.targetCells = 120;
+  spec.seed = 3;
+  db::Database db = bmgen::generateBenchmark(spec);
+  groute::GlobalRouter router(db);
+  router.run();
+  ObsContext context;  // starts disabled
+  core::CrpOptions options;
+  options.snapshots = true;
+  options.obsContext = &context;
+  core::CrpFramework framework(db, router, options);
+  framework.runIteration();
+  context.setEnabled(true);
+  framework.runIteration();
+  framework.runEco(bmgen::perturbDesign(db, {0.02, 9}));
+  const RunReport& run = framework.runReport();
+  ASSERT_EQ(run.iterationStats.size(), 3u);
+  const std::vector<TimelineRecord> timeline = run.timeline();
+  ASSERT_EQ(timeline.size(), 2u);
+  EXPECT_EQ(timeline[0].iteration, 1);
+  EXPECT_FALSE(timeline[0].eco);
+  EXPECT_EQ(timeline[1].iteration, 2);
+  EXPECT_TRUE(timeline[1].eco);
+  const Json json = run.toJson();
+  const RunReport reparsed = RunReport::fromJson(Json::parse(json.dump(2)));
+  EXPECT_EQ(reparsed.toJson(), json);
+  EXPECT_EQ(reparsed.fingerprint(), run.fingerprint());
+  ASSERT_EQ(reparsed.iterationStats.size(), 3u);
+  EXPECT_FALSE(reparsed.iterationStats[0].overflowCaptured);
+  EXPECT_EQ(reparsed.iterationStats[1].toJson(), timeline[0].toJson());
+  EXPECT_EQ(reparsed.iterationStats[2].toJson(), timeline[1].toJson());
 }
 
 TEST(RunReportSchema, FingerprintVersionIsDecoupledFromSchemaVersion) {
@@ -892,12 +926,13 @@ TEST(RunReportSchema, FingerprintVersionIsDecoupledFromSchemaVersion) {
   EXPECT_EQ(fp.at("schemaVersion").asInt(), RunReport::kFingerprintVersion);
   EXPECT_EQ(fp.find("timeline"), nullptr);
 
-  // A timeline, when present, is part of the behavioural fingerprint.
+  // A timeline, when present, is part of the behavioural fingerprint:
+  // capturing a record adds it, and then its timeline-only fields count.
   RunReport spatial = sampleReport();
-  spatial.timeline = {sampleTimelineRecord(0)};
+  spatial.iterationStats[0].overflowCaptured = true;
   EXPECT_NE(spatial.fingerprint(), sampleReport().fingerprint());
   RunReport changed = spatial;
-  changed.timeline[0].reroutedNets += 1;
+  changed.iterationStats[0].dampedCells += 1;
   EXPECT_NE(changed.fingerprint(), spatial.fingerprint());
 }
 
@@ -1190,24 +1225,30 @@ TEST(Analytics, DiffDetectsQorDivergence) {
 TEST(Analytics, DiffAlignsIterationsAndTimelineBrackets) {
   RunReport a = sampleReport();
   RunReport b = sampleReport();
-  // b ran one extra iteration; a's missing side counts from zero.
-  RunReport::IterationStat extra;
-  extra.movedCells = 6;
-  extra.reroutedNets = 2;
+  // Both ran iteration 1, captured on both sides (a captured only
+  // that one, b both), so brackets pair by iteration number, not by
+  // position among the captures.  b ran one extra iteration; a's
+  // missing side counts from zero.
+  a.iterationStats.push_back(sampleTimelineRecord(1));
+  a.iterationStats[1].overflowAfter = 4.0;
+  b.iterationStats = {sampleTimelineRecord(0), sampleTimelineRecord(1)};
+  TimelineRecord extra;
+  extra.iteration = 2;
+  extra.movedCells = 5;
   b.iterationStats.push_back(extra);
-  // Only the first iteration has a timeline record on both sides.
-  a.timeline = {sampleTimelineRecord(0)};
-  b.timeline = {sampleTimelineRecord(0), sampleTimelineRecord(1)};
 
   const ReportDiff diff = diffReports(a, b);
-  ASSERT_EQ(diff.iterations.size(), 2u);
-  EXPECT_EQ(diff.iterations[0].movedCells, 0);
-  EXPECT_EQ(diff.iterations[1].movedCells, 6);
-  EXPECT_TRUE(diff.iterations[0].hasOverflow);
-  EXPECT_FALSE(diff.iterations[1].hasOverflow);
+  ASSERT_EQ(diff.iterations.size(), 3u);
+  EXPECT_FALSE(diff.iterations[0].hasOverflow);
+  EXPECT_TRUE(diff.iterations[1].hasOverflow);
+  EXPECT_DOUBLE_EQ(diff.iterations[1].overflowAfterA, 4.0);
+  EXPECT_DOUBLE_EQ(diff.iterations[1].overflowAfterB, 9.5);
+  EXPECT_EQ(diff.iterations[1].movedCells, 0);
+  EXPECT_EQ(diff.iterations[2].movedCells, 5);
+  EXPECT_FALSE(diff.iterations[2].hasOverflow);
   // The structured JSON mirrors the struct.
   const Json json = diff.toJson();
-  EXPECT_EQ(json.at("iterations").size(), 2u);
+  EXPECT_EQ(json.at("iterations").size(), 3u);
 }
 
 // ---- Analytics: ledger check -----------------------------------------------

@@ -84,7 +84,7 @@ TEST(PricingCache, HitReturnsIdenticalValue) {
   Fixture f;
   const groute::PatternRouter pattern(f.router.graph());
   groute::PatternRouter::Scratch scratch;
-  PricingCache cache(8);
+  PricingCache cache;
   std::vector<GPoint> terminals{{0, 1, 1}, {0, 4, 3}, {1, 2, 5}};
   canonicalizeTerminals(terminals);
   const double first = cache.price(terminals, pattern, scratch);
@@ -101,7 +101,7 @@ TEST(PricingCache, DistinctSetsGetDistinctEntries) {
   Fixture f;
   const groute::PatternRouter pattern(f.router.graph());
   groute::PatternRouter::Scratch scratch;
-  PricingCache cache(4);
+  PricingCache cache;
   std::vector<GPoint> a{{0, 1, 1}, {0, 4, 3}};
   std::vector<GPoint> b{{0, 1, 1}, {0, 4, 4}};
   cache.price(a, pattern, scratch);
@@ -113,7 +113,7 @@ TEST(PricingCache, DistinctSetsGetDistinctEntries) {
 TEST(PricingCache, SharedAcrossThreads) {
   Fixture f;
   const groute::PatternRouter pattern(f.router.graph());
-  PricingCache cache(64);
+  PricingCache cache;
   std::vector<GPoint> terminals{{0, 1, 1}, {0, 4, 5}};
   util::ThreadPool pool(4);
   std::vector<double> prices(64, 0.0);
@@ -164,7 +164,7 @@ TEST(PricingEngine, CacheAndDeltaAreValueExact) {
   const std::vector<db::CellId> critical{0, 5, 11, 17, 29};
   const auto base = buildCandidates(f.db, legalizer, critical, nullptr);
 
-  auto priceWith = [&](bool cache, bool delta, PricingStats* stats) {
+  auto priceWith = [&](bool cache, bool delta, obs::PricingStats* stats) {
     auto copy = base;
     PricingOptions options;
     options.cacheEnabled = cache;
@@ -173,7 +173,7 @@ TEST(PricingEngine, CacheAndDeltaAreValueExact) {
     return copy;
   };
 
-  PricingStats onStats;
+  obs::PricingStats onStats;
   const auto off = priceWith(false, false, nullptr);
   const auto on = priceWith(true, true, &onStats);
   const auto cacheOnly = priceWith(true, false, nullptr);
@@ -199,7 +199,7 @@ TEST(PricingEngine, CacheAndDeltaAreValueExact) {
 TEST(PricingEngine, ReportsStats) {
   Fixture f;
   const legalizer::IlpLegalizer legalizer(f.db);
-  PricingStats stats;
+  obs::PricingStats stats;
   auto candidates = buildCandidates(f.db, legalizer, {2, 7, 13}, nullptr);
   priceCandidates(f.db, f.router, candidates, nullptr, PricingOptions{},
                   &stats);
@@ -229,12 +229,12 @@ RunOutcome runFramework(int threads, bool cache, bool delta) {
   options.pricingCache = cache;
   options.deltaPricing = delta;
   CrpFramework framework(db, router, options);
-  const CrpReport report = framework.run();
+  const obs::RunReport& report = framework.run();
   RunOutcome outcome;
   for (db::CellId c = 0; c < db.numCells(); ++c) {
     outcome.positions.push_back(db.cell(c).pos);
   }
-  for (const auto& iteration : report.iterations) {
+  for (const auto& iteration : report.iterationStats) {
     outcome.selectedCosts.push_back(iteration.selectedCost);
   }
   return outcome;
@@ -254,16 +254,15 @@ TEST(PricingEngine, FrameworkReportCarriesPricingStats) {
   CrpOptions options;
   options.iterations = 2;
   CrpFramework framework(f.db, f.router, options);
-  const CrpReport report = framework.run();
-  PricingStats summed;
-  for (const auto& iteration : report.iterations) {
-    summed += iteration.pricing;
-    EXPECT_GE(iteration.eccSeconds, 0.0);
+  const obs::RunReport& report = framework.run();
+  ASSERT_EQ(report.iterationStats.size(), 2u);
+  std::uint64_t summed = 0;
+  for (const auto& iteration : report.iterationStats) {
+    summed += iteration.netsPriced;
   }
-  EXPECT_EQ(report.pricing.cacheHits, summed.cacheHits);
-  EXPECT_EQ(report.pricing.cacheMisses, summed.cacheMisses);
-  EXPECT_EQ(report.pricing.deltaSkips, summed.deltaSkips);
+  EXPECT_EQ(report.pricing.netsPriced(), summed);
   EXPECT_GT(report.pricing.netsPriced(), 0u);
+  EXPECT_GE(report.phaseSeconds(kPhaseEcc), 0.0);
 }
 
 }  // namespace

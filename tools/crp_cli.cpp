@@ -264,8 +264,8 @@ int cmdEco(const Args& args) {
   std::cout << "eco: " << delta.size() << " edits -> " << report.dirtyNets
             << " dirty nets, " << report.scopeCells << " scope cells, "
             << report.cacheEvictions << " cache evictions, "
-            << report.crp.totalMoves << " moves, "
-            << report.crp.totalReroutes << " reroutes in "
+            << report.moves << " moves, " << report.reroutes
+            << " reroutes in "
             << report.totalSeconds << " s; placement legal: "
             << (db::isPlacementLegal(db) ? "yes" : "NO") << "\n";
   lefdef::writeDefFile(args.positional[3], db);
@@ -478,7 +478,7 @@ int cmdRun(const Args& args) {
     options.flightRecorderDir = args.flags.at("flight-dir");
   }
   core::CrpFramework framework(db, router, options);
-  const auto report = framework.run();
+  const obs::RunReport& report = framework.run();
   std::cout << "CR&P: " << options.iterations << " iterations, "
             << report.totalMoves << " moves, " << report.totalReroutes
             << " reroutes; placement legal: "

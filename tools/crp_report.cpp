@@ -131,12 +131,9 @@ int cmdHeatmap(const Args& args) {
 
   const auto ppmIt = args.flags.find("ppm");
   if (ppmIt != args.flags.end()) {
-    std::ofstream out(ppmIt->second);
-    if (!out) {
-      std::cerr << "error: cannot write " << ppmIt->second << "\n";
-      return 1;
-    }
-    obs::writeHeatmapPpm(out, snapshot, layer);
+    util::writeFileAtomicOrThrow(ppmIt->second, [&](std::ostream& out) {
+      obs::writeHeatmapPpm(out, snapshot, layer);
+    });
     std::cout << "ppm -> " << ppmIt->second << "\n";
   }
   return 0;
@@ -149,7 +146,8 @@ int cmdTimeline(const Args& args) {
   }
   const obs::RunReport report =
       obs::RunReport::fromJson(loadJsonFile(args.positional[0]));
-  if (report.timeline.empty()) {
+  const std::vector<obs::TimelineRecord> timeline = report.timeline();
+  if (timeline.empty()) {
     // Not an error: a report without the spatial tier is a normal
     // artifact.  Explain what is (and is not) in it instead of failing
     // or emitting a header-only CSV.
@@ -163,16 +161,13 @@ int cmdTimeline(const Args& args) {
     }
     return 0;
   }
-  std::cout << obs::formatTimeline(report.timeline);
+  std::cout << obs::formatTimeline(timeline);
 
   const auto csvIt = args.flags.find("csv");
   if (csvIt != args.flags.end()) {
-    std::ofstream out(csvIt->second);
-    if (!out) {
-      std::cerr << "error: cannot write " << csvIt->second << "\n";
-      return 1;
-    }
-    out << obs::timelineCsv(report.timeline);
+    util::writeFileAtomicOrThrow(csvIt->second, [&](std::ostream& out) {
+      out << obs::timelineCsv(timeline);
+    });
     std::cout << "csv -> " << csvIt->second << "\n";
   }
   return 0;
