@@ -127,6 +127,32 @@ void BM_MazeRouteTwoPin(benchmark::State& state) {
 }
 BENCHMARK(BM_MazeRouteTwoPin);
 
+/// A 6-pin net inside a 5x5-gcell window at the die center, routed
+/// against the fixture graph after GlobalRouter::run: the congested,
+/// many-sink case rip-up-and-reroute and CR&P's reroutes search.
+void BM_MazeRouteLocalNetRouted(benchmark::State& state) {
+  struct Routed {
+    Routed() : router(fixture().db) { router.run(); }
+    groute::GlobalRouter router;
+  };
+  static Routed routed;
+  const groute::RoutingGraph& graph = routed.router.graph();
+  groute::MazeRouter maze(graph, routed.router.options().mazeMargin);
+  const int cx = graph.grid().countX() / 2;
+  const int cy = graph.grid().countY() / 2;
+  util::Rng rng(13);
+  std::vector<groute::GPoint> terminals;
+  for (int i = 0; i < 6; ++i) {
+    terminals.push_back(
+        groute::GPoint{0, cx + static_cast<int>(rng.uniformInt(-2, 2)),
+                       cy + static_cast<int>(rng.uniformInt(-2, 2))});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(maze.routeTree(terminals));
+  }
+}
+BENCHMARK(BM_MazeRouteLocalNetRouted);
+
 void BM_GlobalRouteFull(benchmark::State& state) {
   auto& f = fixture();
   for (auto _ : state) {

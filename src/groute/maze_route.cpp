@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <limits>
-#include <queue>
 
 namespace crp::groute {
 
@@ -15,6 +16,47 @@ struct SearchBox {
   int xlo, ylo, xhi, yhi;  // inclusive gcell bounds
   int width() const { return xhi - xlo + 1; }
   int height() const { return yhi - ylo + 1; }
+};
+
+/// A* queue entry, ordered by (f, node).  `g` is the cost the entry
+/// was pushed with: an entry whose g exceeds the node's best-known
+/// cost is stale and is skipped on pop.
+struct QueueEntry {
+  double f;
+  double g;
+  std::size_t node;
+};
+
+/// std heap comparator: a min-heap on (f, node).
+bool popsAfter(const QueueEntry& a, const QueueEntry& b) {
+  return a.f != b.f ? a.f > b.f : a.node > b.node;
+}
+
+/// Per-thread search state over box-local node indices, reused across
+/// calls.  dist/parent of a node are live only while its stamp equals
+/// the current wave's generation, so starting a wave costs O(1)
+/// instead of a fill over the whole 3D box.
+struct MazeScratch {
+  std::vector<double> dist;
+  std::vector<int> parent;
+  std::vector<std::uint32_t> stamp;
+  std::uint32_t generation = 0;
+  std::vector<QueueEntry> heap;
+
+  void fit(std::size_t numNodes) {
+    if (stamp.size() >= numNodes) return;
+    dist.resize(numNodes);
+    parent.resize(numNodes);
+    stamp.resize(numNodes, 0);
+  }
+
+  std::uint32_t nextGeneration() {
+    if (++generation == 0) {  // wrapped: forget every old stamp
+      std::fill(stamp.begin(), stamp.end(), 0);
+      generation = 1;
+    }
+    return generation;
+  }
 };
 
 }  // namespace
@@ -44,39 +86,53 @@ PatternResult MazeRouter::routeTree(
   const int bw = box.width();
   const int bh = box.height();
   const int numLayers = graph_.numLayers();
-  const std::size_t numNodes =
-      static_cast<std::size_t>(numLayers) * bw * bh;
+  const std::size_t layerSize = static_cast<std::size_t>(bw) * bh;
 
   auto indexOf = [&](const GPoint& p) {
     return (static_cast<std::size_t>(p.layer) * bh + (p.y - box.ylo)) * bw +
            (p.x - box.xlo);
   };
+  auto pointOf = [&](std::size_t idx) {
+    const std::size_t inLayer = idx % layerSize;
+    return GPoint{static_cast<int>(idx / layerSize),
+                  box.xlo + static_cast<int>(inLayer % bw),
+                  box.ylo + static_cast<int>(inLayer / bw)};
+  };
   auto inBox = [&](int x, int y) {
     return x >= box.xlo && x <= box.xhi && y >= box.ylo && y <= box.yhi;
   };
 
-  std::vector<double> dist(numNodes, kInf);
-  std::vector<int> parent(numNodes, -1);  // packed predecessor index
-  std::vector<GPoint> nodeOf(numNodes);
-  for (int l = 0; l < numLayers; ++l) {
-    for (int y = box.ylo; y <= box.yhi; ++y) {
-      for (int x = box.xlo; x <= box.xhi; ++x) {
-        nodeOf[indexOf(GPoint{l, x, y})] = GPoint{l, x, y};
-      }
-    }
-  }
+  static thread_local MazeScratch scratch;
+  scratch.fit(static_cast<std::size_t>(numLayers) * layerSize);
+  std::vector<double>& dist = scratch.dist;
+  std::vector<int>& parent = scratch.parent;
+  std::vector<std::uint32_t>& stamp = scratch.stamp;
+  std::vector<QueueEntry>& heap = scratch.heap;
 
-  using QueueEntry = std::pair<double, std::size_t>;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                      std::greater<>> queue;
+  // Admissible, consistent lower bound on the cost to `sink`: every
+  // wire step costs at least wireUnit * (the axis' smallest Dist) and
+  // every via at least viaUnit, because the congestion penalty is >= 0.
+  // Units are read per call: the median-ILP baseline swaps the config.
+  const double wireUnit = graph_.config().wireUnit;
+  const double viaUnit = graph_.config().viaUnit;
+  const double stepX = wireUnit * graph_.minWireDistX();
+  const double stepY = wireUnit * graph_.minWireDistY();
+  GPoint sink;
+  auto lowerBound = [&](const GPoint& p) {
+    return stepX * std::abs(p.x - sink.x) + stepY * std::abs(p.y - sink.y) +
+           viaUnit * std::abs(p.layer - sink.layer);
+  };
 
-  // Tree node set (source of each wave).
-  std::vector<std::size_t> treeNodes;
-  auto seed = [&](std::size_t idx, double cost) {
-    if (cost < dist[idx]) {
-      dist[idx] = cost;
-      queue.push({cost, idx});
-    }
+  std::uint32_t generation = 0;
+  // Lowers node `idx` to cost g (from `from`) when that improves it.
+  auto relax = [&](std::size_t idx, const GPoint& p, double g, int from) {
+    const double known = stamp[idx] == generation ? dist[idx] : kInf;
+    if (!(g < known)) return;
+    stamp[idx] = generation;
+    dist[idx] = g;
+    parent[idx] = from;
+    heap.push_back({g + lowerBound(p), g, idx});
+    std::push_heap(heap.begin(), heap.end(), popsAfter);
   };
 
   // Order sinks by Manhattan proximity to the first terminal to keep
@@ -90,61 +146,53 @@ PatternResult MazeRouter::routeTree(
     return da < db;
   });
 
-  treeNodes.push_back(indexOf(terminals[0]));
-
+  // Tree node set (source of each wave).
+  std::vector<std::size_t> treeNodes{indexOf(terminals[0])};
   std::vector<RouteSegment> unitSegments;
 
-  for (const GPoint& sink : sinks) {
-    // Reset wave state.
-    std::fill(dist.begin(), dist.end(), kInf);
-    std::fill(parent.begin(), parent.end(), -1);
-    while (!queue.empty()) queue.pop();
-    for (const std::size_t idx : treeNodes) seed(idx, 0.0);
+  for (const GPoint& nextSink : sinks) {
+    // One A* wave from the whole tree to this sink.
+    sink = nextSink;
+    generation = scratch.nextGeneration();
+    heap.clear();
+    for (const std::size_t idx : treeNodes) {
+      relax(idx, pointOf(idx), 0.0, -1);
+    }
 
     const std::size_t target = indexOf(sink);
     bool reached = false;
-    while (!queue.empty()) {
-      const auto [d, idx] = queue.top();
-      queue.pop();
-      if (d > dist[idx]) continue;
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), popsAfter);
+      const QueueEntry top = heap.back();
+      heap.pop_back();
+      const std::size_t idx = top.node;
+      if (top.g > dist[idx]) continue;  // stale
       if (idx == target) {
         reached = true;
         break;
       }
-      const GPoint p = nodeOf[idx];
-      // Wire moves along the layer's preferred direction.
-      const bool horizontal =
-          graph_.layerDir(p.layer) == db::LayerDir::kHorizontal;
-      const int dx = horizontal ? 1 : 0;
-      const int dy = horizontal ? 0 : 1;
+      const double g = top.g;
+      const int from = static_cast<int>(idx);
+      const GPoint p = pointOf(idx);
+      // Wire moves along the layer's preferred direction.  The box is
+      // clamped to the grid, so both endpoints in the box make a valid
+      // edge.
+      const bool horizontal = graph_.isHorizontal(p.layer);
       for (const int sign : {-1, 1}) {
-        const int nxp = p.x + sign * dx;
-        const int nyp = p.y + sign * dy;
-        if (!inBox(nxp, nyp)) continue;
-        const WireEdge edge = horizontal
-                                  ? WireEdge{p.layer, std::min(p.x, nxp), p.y}
-                                  : WireEdge{p.layer, p.x, std::min(p.y, nyp)};
-        if (!graph_.validWireEdge(edge)) continue;
-        const double nd = d + graph_.wireEdgeCost(edge);
-        const std::size_t nidx = indexOf(GPoint{p.layer, nxp, nyp});
-        if (nd < dist[nidx]) {
-          dist[nidx] = nd;
-          parent[nidx] = static_cast<int>(idx);
-          queue.push({nd, nidx});
-        }
+        const GPoint next = horizontal ? GPoint{p.layer, p.x + sign, p.y}
+                                       : GPoint{p.layer, p.x, p.y + sign};
+        if (!inBox(next.x, next.y)) continue;
+        const WireEdge edge{p.layer, std::min(p.x, next.x),
+                            std::min(p.y, next.y)};
+        relax(indexOf(next), next, g + graph_.wireEdgeCost(edge), from);
       }
       // Via moves.
       for (const int sign : {-1, 1}) {
         const int nl = p.layer + sign;
         if (nl < 0 || nl >= numLayers) continue;
         const ViaEdge edge{std::min(p.layer, nl), p.x, p.y};
-        const double nd = d + graph_.viaEdgeCost(edge);
-        const std::size_t nidx = indexOf(GPoint{nl, p.x, p.y});
-        if (nd < dist[nidx]) {
-          dist[nidx] = nd;
-          parent[nidx] = static_cast<int>(idx);
-          queue.push({nd, nidx});
-        }
+        relax(sign > 0 ? idx + layerSize : idx - layerSize,
+              GPoint{nl, p.x, p.y}, g + graph_.viaEdgeCost(edge), from);
       }
     }
     if (!reached) return PatternResult{};
@@ -155,7 +203,7 @@ PatternResult MazeRouter::routeTree(
     std::size_t cursor = target;
     while (parent[cursor] >= 0) {
       const std::size_t prev = static_cast<std::size_t>(parent[cursor]);
-      unitSegments.push_back(RouteSegment{nodeOf[prev], nodeOf[cursor]});
+      unitSegments.push_back(RouteSegment{pointOf(prev), pointOf(cursor)});
       treeNodes.push_back(cursor);
       cursor = prev;
     }

@@ -78,9 +78,7 @@ void PatternRouter::buildCandidatePaths(int ax, int ay, int bx, int by,
 
 double PatternRouter::runCost(const Run& run, int layer) const {
   const bool horizontal = run.horizontal();
-  if ((graph_.layerDir(layer) == db::LayerDir::kHorizontal) != horizontal) {
-    return kInf;
-  }
+  if (graph_.isHorizontal(layer) != horizontal) return kInf;
   double cost = 0.0;
   if (horizontal) {
     const int lo = std::min(run.x0, run.x1);

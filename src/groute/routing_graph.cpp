@@ -63,32 +63,12 @@ RoutingGraph::RoutingGraph(const db::Database& db, CostConfig config)
   viaCount_.assign(static_cast<std::size_t>(numLayers_) * nx * ny, 0);
 
   buildCapacities(db);
+  buildStepDists();
   chargeFixedUsage(db);
 }
 
 db::LayerDir RoutingGraph::layerDir(int layer) const {
   return dirs_.at(layer);
-}
-
-std::size_t RoutingGraph::wireIndex(const WireEdge& e) const {
-  const int nx = grid_.countX();
-  if (layerDir(e.layer) == LayerDir::kHorizontal) {
-    return wireLayerOffset_[e.layer] +
-           static_cast<std::size_t>(e.y) * (nx - 1) + e.x;
-  }
-  return wireLayerOffset_[e.layer] + static_cast<std::size_t>(e.y) * nx + e.x;
-}
-
-std::size_t RoutingGraph::viaIndex(const ViaEdge& e) const {
-  return (static_cast<std::size_t>(e.layer) * grid_.countY() + e.y) *
-             grid_.countX() +
-         e.x;
-}
-
-std::size_t RoutingGraph::nodeIndex(const GPoint& p) const {
-  return (static_cast<std::size_t>(p.layer) * grid_.countY() + p.y) *
-             grid_.countX() +
-         p.x;
 }
 
 bool RoutingGraph::validNode(const GPoint& p) const {
@@ -122,6 +102,27 @@ geom::Coord RoutingGraph::wireEdgeDist(const WireEdge& e) const {
                           ? db::GCell{e.x + 1, e.y}
                           : db::GCell{e.x, e.y + 1};
   return grid_.centerDistance(a, b);
+}
+
+void RoutingGraph::buildStepDists() {
+  // Dist(e) in pitches, divided exactly as the edge cost always has
+  // been, so every cost stays the same double.
+  auto step = [&](db::GCell a, db::GCell b) {
+    return static_cast<double>(grid_.centerDistance(a, b)) /
+           static_cast<double>(pitchUnit_);
+  };
+  for (int x = 0; x + 1 < grid_.countX(); ++x) {
+    stepDistX_.push_back(step(db::GCell{x, 0}, db::GCell{x + 1, 0}));
+  }
+  for (int y = 0; y + 1 < grid_.countY(); ++y) {
+    stepDistY_.push_back(step(db::GCell{0, y}, db::GCell{0, y + 1}));
+  }
+  if (!stepDistX_.empty()) {
+    minStepDistX_ = *std::min_element(stepDistX_.begin(), stepDistX_.end());
+  }
+  if (!stepDistY_.empty()) {
+    minStepDistY_ = *std::min_element(stepDistY_.begin(), stepDistY_.end());
+  }
 }
 
 void RoutingGraph::buildCapacities(const db::Database& db) {
@@ -244,13 +245,16 @@ void RoutingGraph::chargeFixedUsage(const db::Database& db) {
 }
 
 double RoutingGraph::demand(const WireEdge& e) const {
-  const GPoint src{e.layer, e.x, e.y};
-  const GPoint dst = layerDir(e.layer) == LayerDir::kHorizontal
-                         ? GPoint{e.layer, e.x + 1, e.y}
-                         : GPoint{e.layer, e.x, e.y + 1};
+  return demandAt(e, wireIndex(e));
+}
+
+double RoutingGraph::demandAt(const WireEdge& e, std::size_t idx) const {
+  const std::size_t src = nodeIndex(GPoint{e.layer, e.x, e.y});
+  const std::size_t dst =
+      src + (isHorizontal(e.layer) ? 1 : grid_.countX());
   const double viaEstimate =
-      std::sqrt((viaCount(src) + viaCount(dst)) / 2.0);
-  return wireUsage(e) + fixedUsage(e) + config_.beta * viaEstimate;
+      std::sqrt((viaCount_[src] + viaCount_[dst]) / 2.0);
+  return wireUse_[idx] + wireFixed_[idx] + config_.beta * viaEstimate;
 }
 
 namespace {
@@ -266,16 +270,17 @@ double RoutingGraph::wireEdgeCost(const WireEdge& e) const {
   // Edges inside a fixed macro's obstruction are impassable, not merely
   // expensive: the pattern DP and the maze router both treat infinity
   // as "no edge" and detour or fail cleanly.
-  if (hardBlocked(e)) return std::numeric_limits<double>::infinity();
-  // Dist(e) in wire units (pitches), so wireUnit/viaUnit carry the
-  // contest's relative weighting.
-  const double dist = static_cast<double>(wireEdgeDist(e)) /
-                      static_cast<double>(pitchUnit_);
+  const std::size_t idx = wireIndex(e);
+  if (wireBlockedFrac_[idx] >= kHardBlockedFraction) {
+    return std::numeric_limits<double>::infinity();
+  }
   double penalty = 0.0;
   if (config_.congestionPenalty) {
-    penalty = logisticPenalty(demand(e), capacity(e), config_.slope);
+    penalty = logisticPenalty(demandAt(e, idx), wireCap_[idx], config_.slope);
   }
-  return config_.wireUnit * dist * (1.0 + penalty);
+  // Dist(e) in wire units (pitches), so wireUnit/viaUnit carry the
+  // contest's relative weighting.
+  return config_.wireUnit * wireDistUnits(e) * (1.0 + penalty);
 }
 
 double RoutingGraph::viaEdgeCost(const ViaEdge& e) const {

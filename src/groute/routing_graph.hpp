@@ -89,7 +89,7 @@ class RoutingGraph {
   /// hop to an unobstructed layer.  Edges merely touching a macro
   /// boundary accumulate only 0.5 and stay soft (priced via U_f).
   bool hardBlocked(const WireEdge& e) const {
-    return wireBlockedFrac_[wireIndex(e)] >= 0.999;
+    return wireBlockedFrac_[wireIndex(e)] >= kHardBlockedFraction;
   }
 
   /// D_e per Eq. 9: U_w + U_f + beta * sqrt((V_src + V_dst) / 2).
@@ -140,9 +140,27 @@ class RoutingGraph {
   bool validWireEdge(const WireEdge& e) const;
   bool validNode(const GPoint& p) const;
   db::LayerDir layerDir(int layer) const;
+  /// Unchecked direction test for the routers' inner loops; `layer`
+  /// must be in [0, numLayers()).
+  bool isHorizontal(int layer) const {
+    return dirs_[layer] == db::LayerDir::kHorizontal;
+  }
 
   /// Distance between gcell centers along an edge (Dist(e) of Eq. 10).
   geom::Coord wireEdgeDist(const WireEdge& e) const;
+
+  /// Dist(e) in wire units (pitches): the same double as
+  /// wireEdgeDist(e) / pitchUnit(), read from a table built once at
+  /// construction.  Dist of an edge depends only on its column (H
+  /// layers) or row (V layers), so the table is per axis.
+  double wireDistUnits(const WireEdge& e) const {
+    return isHorizontal(e.layer) ? stepDistX_[e.x] : stepDistY_[e.y];
+  }
+  /// Smallest one-step wire Dist, in wire units, along x and along y
+  /// (0 when the grid has no edge along that axis): the per-step
+  /// lengths of the maze router's A* lower bound.
+  double minWireDistX() const { return minStepDistX_; }
+  double minWireDistY() const { return minStepDistY_; }
 
   /// Routing pitch used to convert Dist(e) from DBU to wire units.
   geom::Coord pitchUnit() const { return pitchUnit_; }
@@ -153,13 +171,31 @@ class RoutingGraph {
 
   /// Flattened edge index helpers (exposed for the detailed router's
   /// guide expansion and for tests).
-  std::size_t wireIndex(const WireEdge& e) const;
-  std::size_t viaIndex(const ViaEdge& e) const;
-  std::size_t nodeIndex(const GPoint& p) const;
+  std::size_t wireIndex(const WireEdge& e) const {
+    const std::size_t rowLength =
+        isHorizontal(e.layer) ? grid_.countX() - 1 : grid_.countX();
+    return wireLayerOffset_[e.layer] +
+           static_cast<std::size_t>(e.y) * rowLength + e.x;
+  }
+  std::size_t viaIndex(const ViaEdge& e) const {
+    return (static_cast<std::size_t>(e.layer) * grid_.countY() + e.y) *
+               grid_.countX() +
+           e.x;
+  }
+  std::size_t nodeIndex(const GPoint& p) const {
+    return (static_cast<std::size_t>(p.layer) * grid_.countY() + p.y) *
+               grid_.countX() +
+           p.x;
+  }
 
  private:
+  static constexpr double kHardBlockedFraction = 0.999;
+
   void buildCapacities(const db::Database& db);
+  void buildStepDists();
   void chargeFixedUsage(const db::Database& db);
+  /// D_e of the edge at wire index `idx` (== wireIndex(e)).
+  double demandAt(const WireEdge& e, std::size_t idx) const;
 
   db::GCellGrid grid_;
   int numLayers_ = 0;
@@ -175,6 +211,11 @@ class RoutingGraph {
   std::vector<double> viaUse_;
   std::vector<int> viaCount_;
   std::vector<std::size_t> wireLayerOffset_;  ///< offset per layer
+  /// Dist(e) in wire units of the edge (x,*)->(x+1,*) / (*,y)->(*,y+1).
+  std::vector<double> stepDistX_;
+  std::vector<double> stepDistY_;
+  double minStepDistX_ = 0.0;
+  double minStepDistY_ = 0.0;
 
   // Relaxed atomics: the only cross-thread shared scalars under the
   // conflict-free batch reroute (per-edge entries are disjoint there).

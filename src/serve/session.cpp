@@ -117,6 +117,7 @@ void stampReport(Session& session, const obs::Json& params,
 
 obs::Json runBmgenJob(Session& session, const obs::Json& params) {
   std::lock_guard<std::mutex> lock(session.jobMutex);
+  session.context.tracer().clear();  // spans are job-scoped
   obs::ObsContextScope scope(session.context);
   const bmgen::BenchmarkSpec spec = specFromParams(session, params);
   // Teardown in dependency order before the new design replaces the
@@ -149,6 +150,7 @@ obs::Json runBmgenJob(Session& session, const obs::Json& params) {
 obs::Json runRunJob(Session& session, const obs::Json& params,
                     const EventSink& emit) {
   std::lock_guard<std::mutex> lock(session.jobMutex);
+  session.context.tracer().clear();  // spans are job-scoped
   obs::ObsContextScope scope(session.context);
   ensureRouted(session);
   const core::CrpOptions options = crpOptionsFromParams(session, params);
@@ -186,6 +188,7 @@ obs::Json runRunJob(Session& session, const obs::Json& params,
 obs::Json runEcoJob(Session& session, const obs::Json& params,
                     const EventSink& emit) {
   std::lock_guard<std::mutex> lock(session.jobMutex);
+  session.context.tracer().clear();  // spans are job-scoped
   obs::ObsContextScope scope(session.context);
   const obs::Json* deltaJson = params.find("delta");
   if (deltaJson == nullptr) {
@@ -227,6 +230,7 @@ obs::Json runEcoJob(Session& session, const obs::Json& params,
 
 obs::Json runReportJob(Session& session) {
   std::lock_guard<std::mutex> lock(session.jobMutex);
+  session.context.tracer().clear();  // spans are job-scoped
   obs::ObsContextScope scope(session.context);
   if (session.framework == nullptr) {
     throw std::runtime_error("session has no run to report on");

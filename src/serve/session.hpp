@@ -42,7 +42,10 @@ struct Session {
   std::uint64_t id = 0;
   std::string name;
   /// Per-session instruments; enabled at creation so counters, spans,
-  /// and heatmaps record without a process-global gate flip.
+  /// and heatmaps record without a process-global gate flip.  Spans
+  /// are job-scoped: every job clears the tracer first, because nothing
+  /// in the daemon reads spans back and a resident session would
+  /// otherwise keep every span of every job it ever ran.
   obs::ObsContext context;
   /// The daemon's shared compute pool (never null once opened).
   util::ThreadPool* pool = nullptr;

@@ -3,6 +3,10 @@
 // guide coverage, LP/ILP bounding, DEF idempotence).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <queue>
 #include <sstream>
 
 #include "bmgen/generator.hpp"
@@ -134,6 +138,249 @@ TEST(PropertyRouters, MazeNeverWorseThanPatternTwoPin) {
     ASSERT_TRUE(patternResult.ok);
     EXPECT_LE(mazeResult.cost, patternResult.cost + 1e-6)
         << "trial " << trial;
+  }
+}
+
+// ---- A* maze vs a plain Dijkstra reference ---------------------------------
+
+/// Plain Dijkstra over the maze's search box (terminal bbox + margin),
+/// kept here only as the reference the A* maze is checked against.
+class ReferenceMaze {
+ public:
+  ReferenceMaze(const RoutingGraph& graph, const std::vector<GPoint>& terminals,
+                int margin)
+      : graph_(graph) {
+    xlo_ = xhi_ = terminals[0].x;
+    ylo_ = yhi_ = terminals[0].y;
+    for (const GPoint& t : terminals) {
+      xlo_ = std::min(xlo_, t.x);
+      xhi_ = std::max(xhi_, t.x);
+      ylo_ = std::min(ylo_, t.y);
+      yhi_ = std::max(yhi_, t.y);
+    }
+    xlo_ = std::max(0, xlo_ - margin);
+    ylo_ = std::max(0, ylo_ - margin);
+    xhi_ = std::min(graph.grid().countX() - 1, xhi_ + margin);
+    yhi_ = std::min(graph.grid().countY() - 1, yhi_ + margin);
+    for (int l = 0; l < graph.numLayers(); ++l) {
+      for (int y = ylo_; y <= yhi_; ++y) {
+        for (int x = xlo_; x <= xhi_; ++x) nodes_.push_back(GPoint{l, x, y});
+      }
+    }
+  }
+
+  const std::vector<GPoint>& nodes() const { return nodes_; }
+
+  std::size_t indexOf(const GPoint& p) const {
+    const std::size_t bw = xhi_ - xlo_ + 1;
+    const std::size_t bh = yhi_ - ylo_ + 1;
+    return (p.layer * bh + (p.y - ylo_)) * bw + (p.x - xlo_);
+  }
+
+  /// Least cost from any of `sources` to every box node; `parent` gets
+  /// each node's predecessor (-1 for sources and unreached nodes).
+  std::vector<double> distances(const std::vector<std::size_t>& sources,
+                                std::vector<int>* parent = nullptr) const {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    std::vector<double> dist(nodes_.size(), kInf);
+    std::vector<int> from(nodes_.size(), -1);
+    using Entry = std::pair<double, std::size_t>;
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
+    for (const std::size_t s : sources) {
+      dist[s] = 0.0;
+      queue.push({0.0, s});
+    }
+    while (!queue.empty()) {
+      const auto [d, idx] = queue.top();
+      queue.pop();
+      if (d > dist[idx]) continue;
+      const GPoint p = nodes_[idx];
+      auto relax = [&](const GPoint& q, double cost) {
+        const std::size_t qi = indexOf(q);
+        if (d + cost < dist[qi]) {
+          dist[qi] = d + cost;
+          from[qi] = static_cast<int>(idx);
+          queue.push({dist[qi], qi});
+        }
+      };
+      const bool horizontal =
+          graph_.layerDir(p.layer) == db::LayerDir::kHorizontal;
+      for (const int sign : {-1, 1}) {
+        const GPoint q = horizontal ? GPoint{p.layer, p.x + sign, p.y}
+                                    : GPoint{p.layer, p.x, p.y + sign};
+        if (q.x < xlo_ || q.x > xhi_ || q.y < ylo_ || q.y > yhi_) continue;
+        relax(q, graph_.wireEdgeCost(groute::WireEdge{
+                     p.layer, std::min(p.x, q.x), std::min(p.y, q.y)}));
+      }
+      for (const int sign : {-1, 1}) {
+        const int l = p.layer + sign;
+        if (l < 0 || l >= graph_.numLayers()) continue;
+        relax(GPoint{l, p.x, p.y},
+              graph_.viaEdgeCost(groute::ViaEdge{std::min(l, p.layer), p.x,
+                                                 p.y}));
+      }
+    }
+    if (parent != nullptr) *parent = std::move(from);
+    return dist;
+  }
+
+  /// routeTree's cost the reference way: sinks in the same order, each
+  /// joined to the growing tree by a least-cost path.
+  double treeCost(const std::vector<GPoint>& terminals) const {
+    std::vector<GPoint> sinks(terminals.begin() + 1, terminals.end());
+    std::sort(sinks.begin(), sinks.end(),
+              [&](const GPoint& a, const GPoint& b) {
+                const int da = std::abs(a.x - terminals[0].x) +
+                               std::abs(a.y - terminals[0].y);
+                const int db = std::abs(b.x - terminals[0].x) +
+                               std::abs(b.y - terminals[0].y);
+                return da < db;
+              });
+    std::vector<std::size_t> tree{indexOf(terminals[0])};
+    double cost = 0.0;
+    for (const GPoint& sink : sinks) {
+      std::vector<int> parent;
+      const std::vector<double> dist = distances(tree, &parent);
+      cost += dist[indexOf(sink)];
+      for (int at = static_cast<int>(indexOf(sink)); at >= 0;
+           at = parent[at]) {
+        tree.push_back(static_cast<std::size_t>(at));
+      }
+    }
+    return cost;
+  }
+
+ private:
+  const RoutingGraph& graph_;
+  int xlo_, ylo_, xhi_, yhi_;
+  std::vector<GPoint> nodes_;
+};
+
+/// A routed design whose graph exercises every cost term: charged
+/// demand from a full GR run, hard-blocked macro interiors, a hotspot
+/// blockage, and gcell counts that do not divide the die, so the last
+/// row and column are wider than the rest.
+class MazeEquivalence : public ::testing::Test {
+ protected:
+  static db::Database makeDesign() {
+    bmgen::BenchmarkSpec spec;
+    spec.name = "maze_equivalence";
+    spec.targetCells = 1500;
+    spec.hotspots = 1;
+    spec.macroCount = 2;
+    spec.macroWidthSites = 60;
+    spec.macroRowSpan = 6;
+    spec.seed = 17;
+    db::Database db = bmgen::generateBenchmark(spec);
+    db::Design& design = db.mutableDesign();
+    while (design.dieArea.width() % design.gcellCountX == 0) {
+      ++design.gcellCountX;
+    }
+    while (design.dieArea.height() % design.gcellCountY == 0) {
+      ++design.gcellCountY;
+    }
+    return db;
+  }
+
+  MazeEquivalence() : db_(makeDesign()), router_(db_) { router_.run(); }
+
+  const RoutingGraph& graph() const { return router_.graph(); }
+
+  /// The maze's A* bound from `p` to `sink` (maze_route.hpp).
+  double lowerBound(const GPoint& p, const GPoint& sink) const {
+    const groute::CostConfig& config = graph().config();
+    return config.wireUnit * (std::abs(p.x - sink.x) * graph().minWireDistX() +
+                              std::abs(p.y - sink.y) * graph().minWireDistY()) +
+           config.viaUnit * std::abs(p.layer - sink.layer);
+  }
+
+  std::vector<GPoint> randomNet(util::Rng& rng) const {
+    const int pins = static_cast<int>(rng.uniformInt(2, 7));
+    std::vector<GPoint> terminals;
+    for (int t = 0; t < pins; ++t) {
+      terminals.push_back(GPoint{
+          static_cast<int>(rng.uniformInt(0, graph().numLayers() - 1)),
+          static_cast<int>(rng.uniformInt(0, graph().grid().countX() - 1)),
+          static_cast<int>(rng.uniformInt(0, graph().grid().countY() - 1))});
+    }
+    return terminals;
+  }
+
+  db::Database db_;
+  groute::GlobalRouter router_;
+};
+
+TEST_F(MazeEquivalence, GraphHasEveryCostTerm) {
+  const auto& grid = graph().grid();
+  EXPECT_NE(grid.die().width() % grid.countX(), 0);
+  EXPECT_NE(grid.die().height() % grid.countY(), 0);
+  EXPECT_GT(graph().totalVias(), 0);
+  bool blocked = false;
+  for (int l = 0; l < graph().numLayers() && !blocked; ++l) {
+    for (int y = 0; y < graph().wireEdgeCountY(l) && !blocked; ++y) {
+      for (int x = 0; x < graph().wireEdgeCountX(l) && !blocked; ++x) {
+        blocked = graph().hardBlocked(groute::WireEdge{l, x, y});
+      }
+    }
+  }
+  EXPECT_TRUE(blocked);
+}
+
+TEST_F(MazeEquivalence, PrecomputedDistMatchesGeometryOnEveryEdge) {
+  const double pitch = static_cast<double>(graph().pitchUnit());
+  double minX = std::numeric_limits<double>::infinity();
+  double minY = std::numeric_limits<double>::infinity();
+  for (int l = 0; l < graph().numLayers(); ++l) {
+    for (int y = 0; y < graph().wireEdgeCountY(l); ++y) {
+      for (int x = 0; x < graph().wireEdgeCountX(l); ++x) {
+        const groute::WireEdge e{l, x, y};
+        const double dist = graph().wireDistUnits(e);
+        ASSERT_EQ(dist, static_cast<double>(graph().wireEdgeDist(e)) / pitch)
+            << "layer " << l << " edge (" << x << ", " << y << ")";
+        (graph().isHorizontal(l) ? minX : minY) =
+            std::min(graph().isHorizontal(l) ? minX : minY, dist);
+      }
+    }
+  }
+  EXPECT_EQ(graph().minWireDistX(), minX);
+  EXPECT_EQ(graph().minWireDistY(), minY);
+}
+
+TEST_F(MazeEquivalence, AStarMatchesDijkstraCostAndConnects) {
+  const int margin = router_.options().mazeMargin;
+  groute::MazeRouter maze(graph(), margin);
+  util::Rng rng(2024);
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::vector<GPoint> terminals = randomNet(rng);
+    const ReferenceMaze reference(graph(), terminals, margin);
+    const auto result = maze.routeTree(terminals);
+    ASSERT_TRUE(result.ok) << "trial " << trial;
+    const double expected = reference.treeCost(terminals);
+    EXPECT_NEAR(result.cost, expected, 1e-9 * expected) << "trial " << trial;
+
+    NetRoute route;
+    route.routed = true;
+    route.segments = result.segments;
+    check::AuditReport report;
+    check::auditRoute(graph(), route, terminals,
+                      "trial " + std::to_string(trial), report);
+    EXPECT_CLEAN_AUDIT(report);
+  }
+}
+
+TEST_F(MazeEquivalence, LowerBoundNeverExceedsTrueDistance) {
+  util::Rng rng(77);
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::vector<GPoint> terminals = randomNet(rng);
+    const ReferenceMaze reference(graph(), terminals, /*margin=*/6);
+    const GPoint sink = terminals.back();
+    const std::vector<double> toSink =
+        reference.distances({reference.indexOf(sink)});
+    for (std::size_t i = 0; i < toSink.size(); ++i) {
+      EXPECT_LE(lowerBound(reference.nodes()[i], sink),
+                toSink[i] * (1.0 + 1e-12))
+          << "trial " << trial << " node " << i;
+    }
   }
 }
 

@@ -168,6 +168,45 @@ TEST(ServeSession, BmgenThenRunStreamsOneEventPerIteration) {
   EXPECT_EQ(reported.at("fingerprint"), ecoResult.at("fingerprint"));
 }
 
+/// A resident session must not accumulate spans job over job: after
+/// each job the tracer holds only that job's spans.
+TEST(ServeSession, TracerDoesNotGrowWithJobs) {
+#ifdef CRP_OBS_DISABLED
+  GTEST_SKIP() << "spans need the observability instrumentation "
+                  "(-DCRP_OBS=ON)";
+#endif
+  util::ThreadPool pool(2);
+  SessionManager manager;
+  auto session = manager.open("t", pool);
+  ASSERT_NE(session, nullptr);
+  runBmgenJob(*session, bmgenParams(200, 3));
+  const obs::Tracer& tracer = session->context.tracer();
+
+  std::size_t afterOne = 0;
+  for (int link = 1; link <= 20; ++link) {
+    obs::Json params = obs::Json::object();
+    params.set("k", 0);
+    obs::Json perturb = obs::Json::object();
+    perturb.set("seed", link);
+    perturb.set("frac", 0.02);
+    params.set("perturb", std::move(perturb));
+    const obs::Json run = runRunJob(*session, params, {});
+    obs::Json ecoReq = obs::Json::object();
+    ecoReq.set("delta", run.at("ecoDelta"));
+    ecoReq.set("k", 1);
+    const std::uint64_t ecoStartNs = tracer.nowNs();
+    runEcoJob(*session, ecoReq, {});
+
+    const auto records = tracer.records();
+    for (const auto& [tid, span] : records) {
+      ASSERT_GE(span.startNs, ecoStartNs) << "a span outlived its job";
+    }
+    if (link == 1) afterOne = records.size();
+    ASSERT_GT(afterOne, 0u);  // the jobs do record spans
+    EXPECT_LT(records.size(), 2 * afterOne) << "after " << link << " links";
+  }
+}
+
 TEST(ServeSession, JobsWithoutDesignOrRunFail) {
   util::ThreadPool pool(1);
   SessionManager manager;

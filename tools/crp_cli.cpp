@@ -65,6 +65,10 @@
 //       with resident per-session state.  Stops cleanly on SIGTERM /
 //       SIGINT or a client shutdown op.  --ledger appends one run-
 //       ledger entry per completed run/eco job.
+//
+// A flag the subcommand does not read (or one given without a value)
+// is an error: crp exits 2 naming it, before reading any input.
+#include <algorithm>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
@@ -127,6 +131,22 @@ struct Args {
   double number(const std::string& key, double fallback) const {
     const auto it = flags.find(key);
     return it == flags.end() ? fallback : std::atof(it->second.c_str());
+  }
+
+  /// Describes the first flag outside `known` (or one left without a
+  /// value); empty when every flag is known.  A flag the command does
+  /// not read would otherwise be dropped silently, and a misspelt one
+  /// would run the defaults.
+  std::string unreadFlag(const std::vector<std::string>& known) const {
+    for (const auto& [key, value] : flags) {
+      if (std::find(known.begin(), known.end(), key) == known.end()) {
+        return "unknown flag --" + key;
+      }
+    }
+    for (const std::string& token : positional) {
+      if (token.rfind("--", 0) == 0) return "flag " + token + " needs a value";
+    }
+    return {};
   }
 };
 
@@ -676,6 +696,43 @@ int cmdServe(const Args& args) {
   return 0;
 }
 
+/// A subcommand and every --flag it reads; any other flag is rejected
+/// before the command runs.
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  std::vector<std::string> flags;
+};
+
+/// The flags writeObsArtifacts reads, plus `extra`.
+std::vector<std::string> withArtifactFlags(std::vector<std::string> extra) {
+  for (const char* flag : {"trace-out", "report-out", "heatmaps-out",
+                           "flight-out", "metrics-out"}) {
+    extra.emplace_back(flag);
+  }
+  return extra;
+}
+
+const Command kCommands[] = {
+    {"generate", cmdGenerate, {"cells", "util", "hotspots", "seed", "perturb"}},
+    {"route", cmdRoute, {}},
+    {"run", cmdRun,
+     withArtifactFlags({"k", "gamma", "seed", "threads", "router-threads",
+                        "cache", "delta", "obs", "audit", "snapshots",
+                        "flight-dir", "ledger"})},
+    {"eco", cmdEco,
+     withArtifactFlags({"k", "base-k", "halo", "seed", "router-threads",
+                        "audit", "compare-scratch", "obs", "ledger"})},
+    {"detail", cmdDetail, {}},
+    {"flow", cmdFlow, withArtifactFlags({"k", "obs"})},
+    {"congestion", cmdCongestion, {"layer"}},
+    {"place", cmdPlace, {"passes"}},
+    {"svg", cmdSvg, {"routes", "congestion"}},
+    {"suite", cmdSuite, {"scale"}},
+    {"serve", cmdServe,
+     {"socket", "workers", "max-sessions", "verbose", "ledger"}},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -685,23 +742,22 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string command = argv[1];
+  const auto it = std::find_if(
+      std::begin(kCommands), std::end(kCommands),
+      [&](const Command& c) { return command == c.name; });
+  if (it == std::end(kCommands)) {
+    std::cerr << "unknown command '" << command << "'\n";
+    return 2;
+  }
   const Args args = Args::parse(argc, argv, 2);
+  if (const std::string bad = args.unreadFlag(it->flags); !bad.empty()) {
+    std::cerr << "crp " << command << ": " << bad << "\n";
+    return 2;
+  }
   try {
-    if (command == "generate") return cmdGenerate(args);
-    if (command == "route") return cmdRoute(args);
-    if (command == "run") return cmdRun(args);
-    if (command == "eco") return cmdEco(args);
-    if (command == "detail") return cmdDetail(args);
-    if (command == "flow") return cmdFlow(args);
-    if (command == "congestion") return cmdCongestion(args);
-    if (command == "place") return cmdPlace(args);
-    if (command == "svg") return cmdSvg(args);
-    if (command == "suite") return cmdSuite(args);
-    if (command == "serve") return cmdServe(args);
+    return it->run(args);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
-  std::cerr << "unknown command '" << command << "'\n";
-  return 2;
 }
