@@ -166,11 +166,12 @@ BENCHMARK(BM_GlobalRouteFull)->Unit(benchmark::kMillisecond);
 
 // One ECC phase over a fixed candidate set on the generated 600-cell
 // benchmark: every 3rd cell is treated as critical (the paper's gamma
-// defaults to 0.6, so dense critical sets are the common case).  Arg
-// encodes the engine mode; the acceptance target is cache+delta >= 3x
-// faster than the naive per-candidate pricing (see
-// scripts/run_bench.sh, which compares the "off" and "cache+delta"
-// rows into BENCH_micro.json).
+// defaults to 0.6, so dense critical sets are the common case).
+// BM_EccPriceCandidates runs the incremental engine,
+// BM_EccReferencePricer the reference (estimateCandidateCost per
+// candidate) over the same candidates; the acceptance target is the
+// engine >= 3x faster (scripts/run_bench.sh compares the two rows into
+// BENCH_micro.json).
 struct EccFixture {
   EccFixture() : router(fixture().db) {
     router.run();
@@ -193,14 +194,11 @@ EccFixture& eccFixture() {
 
 void BM_EccPriceCandidates(benchmark::State& state) {
   auto& f = eccFixture();
-  core::PricingOptions options;
-  options.cacheEnabled = state.range(0) != 0;
-  options.deltaEnabled = state.range(1) != 0;
   obs::PricingStats stats;
   for (auto _ : state) {
     stats = obs::PricingStats{};
     core::priceCandidates(fixture().db, f.router, f.candidates, nullptr,
-                          options, &stats);
+                          core::PricingOptions{}, &stats);
     benchmark::DoNotOptimize(f.candidates);
   }
   state.counters["nets_priced"] =
@@ -213,13 +211,23 @@ void BM_EccPriceCandidates(benchmark::State& state) {
           : 1.0 - static_cast<double>(stats.cacheMisses) /
                       static_cast<double>(stats.netsPriced()));
 }
-BENCHMARK(BM_EccPriceCandidates)
-    ->ArgNames({"cache", "delta"})
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({0, 1})
-    ->Args({1, 1})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EccPriceCandidates)->Unit(benchmark::kMillisecond);
+
+void BM_EccReferencePricer(benchmark::State& state) {
+  auto& f = eccFixture();
+  const groute::PatternRouter pattern(f.router.graph());
+  groute::PatternRouter::Scratch scratch;
+  for (auto _ : state) {
+    for (core::CellCandidates& cc : f.candidates) {
+      for (core::Candidate& candidate : cc.candidates) {
+        candidate.routeCost = core::estimateCandidateCost(
+            fixture().db, f.router, pattern, cc.cell, candidate, scratch);
+      }
+    }
+    benchmark::DoNotOptimize(f.candidates);
+  }
+}
+BENCHMARK(BM_EccReferencePricer)->Unit(benchmark::kMillisecond);
 
 // ---- UD batch reroute ------------------------------------------------------
 

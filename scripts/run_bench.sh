@@ -4,8 +4,9 @@
 # batching").
 #
 #   1. Release build, run the bench_micro ECC benchmarks + bench_fig2,
-#      and distill BENCH_micro.json at the repo root: naive vs engine
-#      ECC wall time, the speedup, and the cache/delta reuse rate.
+#      and distill BENCH_micro.json at the repo root: reference pricer
+#      vs engine ECC wall time, the speedup, and the cache/delta reuse
+#      rate.
 #   2. UD-phase batch reroute at 1 vs 8 router threads, distilled into
 #      BENCH_parallel_rrr.json.  The >= 2x speedup gate only applies
 #      when the machine exposes >= 4 CPUs — on fewer cores the wall
@@ -50,7 +51,7 @@ cmake --build "$BUILD" -j "$(nproc)"
 # shared machine run-to-run noise swamps a single measurement; medians
 # over interleaved repetitions keep the speedup stable.
 "$BUILD"/bench/bench_micro \
-  --benchmark_filter='BM_EccPriceCandidates' \
+  --benchmark_filter='BM_Ecc(PriceCandidates|ReferencePricer)' \
   --benchmark_repetitions=5 \
   --benchmark_enable_random_interleaving=true \
   --benchmark_format=json \
@@ -65,8 +66,8 @@ with open("ecc_bench_raw.json") as f:
 
 rows = {b["name"]: b for b in raw["benchmarks"]
         if b.get("aggregate_name") == "median"}
-off = rows["BM_EccPriceCandidates/cache:0/delta:0_median"]
-on = rows["BM_EccPriceCandidates/cache:1/delta:1_median"]
+off = rows["BM_EccReferencePricer_median"]
+on = rows["BM_EccPriceCandidates_median"]
 
 def ms(row):
     assert row["time_unit"] == "ms", row["time_unit"]

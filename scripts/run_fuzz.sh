@@ -2,10 +2,12 @@
 # Invariant-audit fuzz driver (docs/checking.md).
 #
 #   1. Release build, then the fixed-seed smoke campaign: 25 seeds at
-#      k=2 with paranoid in-flow audits.  Every seed runs four paired
-#      configurations (serial / rt-4 / cache-off / obs-off) that must
-#      all finish with clean audits and a bit-identical state
-#      fingerprint, plus the eco-vs-scratch paired leg (clean audits on
+#      k=2 with paranoid in-flow audits (these re-price every ECC
+#      candidate with the reference pricer and require the engine's
+#      price bit for bit).  Every seed runs three paired configurations
+#      (serial / rt-4 / obs-off) that must all finish with clean audits
+#      and a bit-identical state fingerprint, plus the eco-vs-scratch
+#      paired leg (clean audits on
 #      both sides and WL/via/overflow parity; disable with
 #      CRP_FUZZ_ECO=0).  Failing seeds are minimized and dumped under
 #      fuzz-artifacts/ with a one-line replay command.

@@ -112,6 +112,7 @@ BaselineResult runMedianIlpOptimizer(db::Database& db,
   distanceOnly.congestionPenalty = false;
   graph.setConfig(distanceOnly);
   const groute::PatternRouter pattern(graph);
+  groute::PatternRouter::Scratch scratch;
   const RowIndex index(db);
 
   std::vector<CellCandidates> candidates;
@@ -143,8 +144,8 @@ BaselineResult runMedianIlpOptimizer(db::Database& db,
       cc.candidates.push_back(move);
     }
     for (Candidate& candidate : cc.candidates) {
-      candidate.routeCost = core::estimateCandidateCost(db, router, pattern,
-                                                        cell, candidate);
+      candidate.routeCost = core::estimateCandidateCost(
+          db, router, pattern, cell, candidate, scratch);
     }
     candidates.push_back(std::move(cc));
   }

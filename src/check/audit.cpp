@@ -139,6 +139,8 @@ const char* invariantName(Invariant invariant) {
       return "macro-overlap-legality";
     case Invariant::kHeightAlignment:
       return "height-row-alignment";
+    case Invariant::kCandidatePricing:
+      return "candidate-pricing";
   }
   return "unknown";
 }
@@ -373,6 +375,16 @@ void auditCachedPrices(
                       formatDouble(freshPrice), formatDouble(cachedPrice)});
     }
   }
+}
+
+void auditCandidatePrice(const std::string& cellName, std::size_t candidate,
+                         double referencePrice, double enginePrice,
+                         AuditReport& report) {
+  if (enginePrice == referencePrice) return;
+  record(report, {Invariant::kCandidatePricing,
+                  "cell " + cellName + " candidate " +
+                      std::to_string(candidate),
+                  formatDouble(referencePrice), formatDouble(enginePrice)});
 }
 
 // ---- DbAuditor --------------------------------------------------------------

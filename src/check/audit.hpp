@@ -53,7 +53,8 @@ enum class AuditLevel {
   kOff = 0,            ///< no audits (the default; zero overhead)
   kPhaseBoundary = 1,  ///< audit once per iteration, after the UD commit
   kParanoid = 2,       ///< audit after every phase + cache coherence +
-                       ///< write/parse round-trips at iteration ends
+                       ///< candidate re-pricing + write/parse
+                       ///< round-trips at iteration ends
 };
 
 const char* auditLevelName(AuditLevel level);
@@ -75,8 +76,9 @@ enum class Invariant {
                        ///< no route crosses a hard-blocked edge
   kMacroLegality,      ///< no cell overlaps a fixed macro; macros in-die
   kHeightAlignment,    ///< multi-row cells aligned to whole row spans
+  kCandidatePricing,   ///< ECC engine price == reference re-price
 };
-inline constexpr int kNumInvariants = 9;
+inline constexpr int kNumInvariants = 10;
 
 const char* invariantName(Invariant invariant);
 
@@ -186,6 +188,14 @@ void auditCachedPrices(
     const groute::PatternRouter& pattern,
     const std::vector<std::pair<std::vector<groute::GPoint>, double>>& entries,
     AuditReport& report);
+
+/// Candidate pricing of one ECC candidate: the engine's `enginePrice`
+/// must equal the reference `referencePrice` bit for bit.  The
+/// re-pricing itself is core::auditCandidatePrices (crp sits above
+/// this library).
+void auditCandidatePrice(const std::string& cellName, std::size_t candidate,
+                         double referencePrice, double enginePrice,
+                         AuditReport& report);
 
 // ---- flight-recorder dumps --------------------------------------------------
 

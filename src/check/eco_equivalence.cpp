@@ -22,8 +22,6 @@ core::CrpOptions crpOptionsFor(const EcoPairOptions& options, int iterations) {
   crp.seed = kFrameworkSeed;
   crp.threads = 1;
   crp.routerThreads = options.routerThreads;
-  crp.pricingCache = true;
-  crp.deltaPricing = true;
   crp.auditLevel = options.auditLevel;
   return crp;
 }

@@ -25,7 +25,6 @@ namespace {
 struct LegConfig {
   std::string name;
   int routerThreads = 1;
-  bool cache = true;
   bool obsOn = true;
 };
 
@@ -62,8 +61,6 @@ LegResult runLeg(const bmgen::BenchmarkSpec& spec, const LegConfig& config,
     options.seed = kFrameworkSeed;
     options.threads = 1;
     options.routerThreads = config.routerThreads;
-    options.pricingCache = config.cache;
-    options.deltaPricing = config.cache;
     options.auditLevel = auditLevel;
     // Spatial tier on: the obs-on legs then exercise snapshot capture
     // and the timeline joins their report fingerprints (value-exact
@@ -150,11 +147,10 @@ SeedResult FuzzCampaign::runSeedAt(std::uint64_t seed, int targetCells,
   result.minimizedIterations = k;
 
   const LegConfig legs[] = {
-      {"serial", 1, true, true},
+      {"serial", 1, true},
       {"rt-" + std::to_string(options_.routerThreadsVariant),
-       options_.routerThreadsVariant, true, true},
-      {"cache-off", 1, false, true},
-      {"obs-off", 1, true, false},
+       options_.routerThreadsVariant, true},
+      {"obs-off", 1, false},
   };
   for (const LegConfig& config : legs) {
     result.legs.push_back(runLeg(spec, config, k, options_.auditLevel));
@@ -185,7 +181,7 @@ SeedResult FuzzCampaign::runSeedAt(std::uint64_t seed, int targetCells,
   }
 
   if (options_.ecoLeg) {
-    // Fifth leg, after the four differential legs agree: the same seed's
+    // Fourth leg, after the three differential legs agree: the same seed's
     // design goes through the paired eco-vs-scratch check.  Its
     // fingerprint is recorded for the artifact but not compared against
     // the reference — the eco side legitimately diverges in state (the

@@ -5,19 +5,19 @@
 // paired configurations that the determinism contract says are
 // value-exact:
 //
-//   serial        router threads 1, pricing cache on,  obs on   (reference)
-//   rt-N          router threads N, pricing cache on,  obs on
-//   cache-off     router threads 1, cache+delta off,   obs on
-//   obs-off       router threads 1, pricing cache on,  obs off
+//   serial        router threads 1, obs on   (reference)
+//   rt-N          router threads N, obs on
+//   obs-off       router threads 1, obs off
 //
-// With FuzzOptions::ecoLeg a fifth leg (eco-vs-scratch) follows once
-// the four differential legs agree: the seed's design is perturbed into
+// With FuzzOptions::ecoLeg a fourth leg (eco-vs-scratch) follows once
+// the three differential legs agree: the seed's design is perturbed into
 // an EcoDelta and finished both via CrpFramework::runEco and via a full
 // rebuild, requiring clean audits on both sides plus quality parity
 // (check/eco_equivalence.hpp) — not state equality.
 //
 // Every leg runs with in-flow audits armed (CrpOptions::auditLevel,
 // paranoid by default here: after every phase, pricing-cache coherence
+// and a bitwise re-price of every candidate by the reference pricer
 // after ECC, I/O round-trips at iteration ends) plus a final
 // DbAuditor::auditAll().  The legs must then agree on the state
 // fingerprint (check::flowFingerprint — cell positions, routes, totals;
@@ -69,10 +69,10 @@ struct FuzzOptions {
   /// When non-empty, failing seeds are written here as
   /// fuzz_seed_<seed>.json artifacts (directory is created on demand).
   std::string artifactDir;
-  /// Fifth leg (eco-vs-scratch): perturb the post-base state into an
+  /// Fourth leg (eco-vs-scratch): perturb the post-base state into an
   /// EcoDelta, finish the job both incrementally (runEco) and from
   /// scratch, and require clean audits on both sides plus quality
-  /// parity (check/eco_equivalence.hpp).  Runs after the four
+  /// parity (check/eco_equivalence.hpp).  Runs after the three
   /// differential legs agree.
   bool ecoLeg = false;
 };
@@ -138,7 +138,7 @@ class FuzzCampaign {
   const FuzzOptions& options() const { return options_; }
 
  private:
-  /// One seed, all four legs, at an explicit (cells, k); no
+  /// One seed, all legs, at an explicit (cells, k); no
   /// minimization or artifact output.
   SeedResult runSeedAt(std::uint64_t seed, int targetCells, int iterations);
 

@@ -73,9 +73,6 @@ struct PricerScratch {
   /// prices, valid while the epoch matches (one epoch per ECC phase).
   std::vector<double> basePriceTable;
   std::vector<std::uint32_t> baseEpoch;
-  /// Phase tag of pattern.twoPinMemo (cleared on mismatch: the demand
-  /// maps the memoized legs priced against are only frozen per phase).
-  std::uint32_t patternEpoch = 0;
 };
 
 /// Per-net terminal template, precomputed once per ECC phase: every
@@ -103,7 +100,6 @@ class CandidatePricer {
       : db_(db),
         graph_(router.graph()),
         pattern_(router.graph()),
-        options_(options),
         ownedCache_(options.sharedCache != nullptr
                         ? nullptr
                         : std::make_unique<PricingCache>()),
@@ -139,14 +135,6 @@ class CandidatePricer {
     const std::vector<db::NetId>& baseNets = db_.netsOfCell(cc.cell);
     const std::size_t numBase = baseNets.size();
 
-    // Arm the per-thread two-pin leg memo for this phase (part of
-    // layer 1: distinct terminal sets share most Steiner legs).
-    if (ts.patternEpoch != epoch_) {
-      ts.pattern.twoPinMemo.clear();
-      ts.pattern.useTwoPinMemo = options_.cacheEnabled;
-      ts.patternEpoch = epoch_;
-    }
-
     // Baseline: prices of the cell's nets at current positions,
     // computed once per phase per thread (every candidate needs them —
     // the old code rebuilt them once per candidate); the terminal sets
@@ -158,11 +146,11 @@ class CandidatePricer {
     ts.basePrices.clear();
     for (std::size_t j = 0; j < numBase; ++j) {
       const db::NetId net = baseNets[j];
-      if (options_.deltaEnabled && ts.baseEpoch[net] == epoch_) {
+      if (ts.baseEpoch[net] == epoch_) {
         cache_->countDeltaSkip();
       } else {
         ts.basePriceTable[net] =
-            priceTerminals(templates_[net].canonical, ts);
+            cache_->price(templates_[net].canonical, pattern_, ts.pattern);
         ts.baseEpoch[net] = epoch_;
       }
       ts.basePrices.push_back(ts.basePriceTable[net]);
@@ -207,38 +195,31 @@ class CandidatePricer {
       // detected at the pin level, before any terminal set is built.
       for (std::size_t j = 0; j < numBase; ++j) {
         const NetTemplate& tpl = templates_[baseNets[j]];
-        const bool changed = computeMovedPins(tpl, ts.overrides, ts, cc.cell);
-        if (options_.deltaEnabled && !changed) {
+        if (!computeMovedPins(tpl, ts.overrides, ts, cc.cell)) {
           cache_->countDeltaSkip();
           cost += ts.basePrices[j];
           continue;
         }
-        if (options_.deltaEnabled) {
-          // Same moved-pin GCells as an earlier candidate of this
-          // cell: identical canonical set, price carries over unprobed.
-          auto& memo = ts.memo[j];
-          bool found = false;
-          for (std::size_t m = 0; m < memo.used; ++m) {
-            if (memo.entries[m].first == ts.movedPins) {
-              cache_->countDeltaSkip();
-              cost += memo.entries[m].second;
-              found = true;
-              break;
-            }
-          }
-          if (found) continue;
-          buildTerminals(tpl, ts);
-          const double price = priceTerminals(ts.terminals, ts);
-          if (memo.used == memo.entries.size()) memo.entries.emplace_back();
-          memo.entries[memo.used].first.assign(ts.movedPins.begin(),
-                                               ts.movedPins.end());
-          memo.entries[memo.used].second = price;
-          ++memo.used;
-          cost += price;
-        } else {
-          buildTerminals(tpl, ts);
-          cost += priceTerminals(ts.terminals, ts);
+        // Same moved-pin GCells as an earlier candidate of this cell:
+        // identical canonical set, price carries over unprobed.
+        auto& memo = ts.memo[j];
+        const auto used = memo.entries.begin() + memo.used;
+        const auto hit = std::find_if(
+            memo.entries.begin(), used,
+            [&](const auto& entry) { return entry.first == ts.movedPins; });
+        if (hit != used) {
+          cache_->countDeltaSkip();
+          cost += hit->second;
+          continue;
         }
+        buildTerminals(tpl, ts);
+        const double price = cache_->price(ts.terminals, pattern_, ts.pattern);
+        if (memo.used == memo.entries.size()) memo.entries.emplace_back();
+        memo.entries[memo.used].first.assign(ts.movedPins.begin(),
+                                             ts.movedPins.end());
+        memo.entries[memo.used].second = price;
+        ++memo.used;
+        cost += price;
       }
       // Collateral nets of displaced conflict cells (not already among
       // the cell's nets), priced at the hypothetical positions.
@@ -258,7 +239,7 @@ class CandidatePricer {
       for (const db::NetId n : ts.extraNets) {
         computeMovedPins(templates_[n], ts.overrides, ts, cc.cell);
         buildTerminals(templates_[n], ts);
-        cost += priceTerminals(ts.terminals, ts);
+        cost += cache_->price(ts.terminals, pattern_, ts.pattern);
       }
       candidate.routeCost = cost;
     }
@@ -275,7 +256,6 @@ class CandidatePricer {
     phase.deltaSkips = now.deltaSkips - startStats_.deltaSkips;
     return phase;
   }
-  auto cacheEntries() const { return cache_->entries(); }
 
  private:
   /// GCell terminal of one net pin, with its cell optionally relocated.
@@ -350,20 +330,10 @@ class CandidatePricer {
     canonicalizeTerminals(ts.terminals);
   }
 
-  double priceTerminals(const std::vector<groute::GPoint>& terminals,
-                        PricerScratch& ts) {
-    if (options_.cacheEnabled) {
-      return cache_->price(terminals, pattern_, ts.pattern);
-    }
-    cache_->countBypass();
-    return pattern_.priceTree(terminals, ts.pattern);
-  }
-
   const db::Database& db_;
   const groute::RoutingGraph& graph_;
   const groute::PatternRouter pattern_;
-  PricingOptions options_;
-  /// Phase-local store, used unless options_.sharedCache redirects
+  /// Phase-local store, used unless PricingOptions::sharedCache redirects
   /// cache_ to a caller-owned, longer-lived cache.
   std::unique_ptr<PricingCache> ownedCache_;
   PricingCache* cache_;
@@ -387,28 +357,52 @@ std::vector<groute::GPoint> terminalsWithOverrides(
 double estimateCandidateCost(const db::Database& db,
                              const groute::GlobalRouter& router,
                              const groute::PatternRouter& pattern,
-                             db::CellId cell, const Candidate& candidate) {
-  std::unordered_map<db::CellId, geom::Point> overrides;
-  overrides.emplace(cell, candidate.position);
-  for (const auto& [id, pos] : candidate.displaced) {
-    overrides.emplace(id, pos);
-  }
+                             db::CellId cell, const Candidate& candidate,
+                             groute::PatternRouter::Scratch& scratch) {
+  std::vector<std::pair<db::CellId, geom::Point>> overrides{
+      {cell, candidate.position}};
+  overrides.insert(overrides.end(), candidate.displaced.begin(),
+                   candidate.displaced.end());
 
-  // Affected nets: all nets of every moved cell, priced once.
-  std::vector<db::NetId> nets;
-  for (const auto& [id, pos] : overrides) {
-    for (const db::NetId n : db.netsOfCell(id)) nets.push_back(n);
+  // Affected nets in the engine's summation order, so the two sums
+  // round identically: the cell's own nets in netsOfCell order, then
+  // the displaced cells' other nets in ascending order.
+  std::vector<db::NetId> nets = db.netsOfCell(cell);
+  const std::size_t numOwn = nets.size();
+  for (const auto& [id, pos] : candidate.displaced) {
+    for (const db::NetId n : db.netsOfCell(id)) {
+      if (std::find(nets.begin(), nets.begin() + numOwn, n) ==
+          nets.begin() + numOwn) {
+        nets.push_back(n);
+      }
+    }
   }
-  std::sort(nets.begin(), nets.end());
-  nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
+  std::sort(nets.begin() + numOwn, nets.end());
+  nets.erase(std::unique(nets.begin() + numOwn, nets.end()), nets.end());
 
   double total = 0.0;
+  std::vector<groute::GPoint> terminals;
   for (const db::NetId n : nets) {
-    const auto terminals =
-        terminalsWithOverrides(db, router.graph(), n, overrides);
-    total += pattern.priceTree(terminals);
+    terminalsInto(db, router.graph(), n, overrides, terminals);
+    total += pattern.priceTree(terminals, scratch);
   }
   return total;
+}
+
+void auditCandidatePrices(const db::Database& db,
+                          const groute::GlobalRouter& router,
+                          const std::vector<CellCandidates>& candidates,
+                          check::AuditReport& report) {
+  const groute::PatternRouter pattern(router.graph());
+  groute::PatternRouter::Scratch scratch;
+  for (const CellCandidates& cc : candidates) {
+    for (std::size_t k = 0; k < cc.candidates.size(); ++k) {
+      const double reference = estimateCandidateCost(
+          db, router, pattern, cc.cell, cc.candidates[k], scratch);
+      check::auditCandidatePrice(db.cell(cc.cell).name, k, reference,
+                                 cc.candidates[k].routeCost, report);
+    }
+  }
 }
 
 std::vector<CellCandidates> buildCandidates(
@@ -469,9 +463,6 @@ void priceCandidates(const db::Database& db,
     for (std::size_t i = 0; i < candidates.size(); ++i) priceFor(i);
   }
   if (stats != nullptr) *stats += pricer.stats();
-  if (pricing.cacheEntriesOut != nullptr) {
-    *pricing.cacheEntriesOut = pricer.cacheEntries();
-  }
 }
 
 std::vector<CellCandidates> generateCandidates(

@@ -13,14 +13,16 @@
 // computed once, non-current candidates re-price only the nets whose
 // terminal GCell set actually changed (delta pricing), and every
 // pattern route is memoized by canonical terminal set in a shared
-// PricingCache.  All three layers are value-exact: enabling or
-// disabling them changes wall time, never costs.
+// PricingCache.  Every layer is value-exact: the engine's price of a
+// candidate equals estimateCandidateCost's bit for bit, which the
+// paranoid audit (auditCandidatePrices) checks in flow.
 #pragma once
 
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "check/audit.hpp"
 #include "crp/pricing_cache.hpp"
 #include "db/database.hpp"
 #include "groute/global_router.hpp"
@@ -44,16 +46,9 @@ struct CellCandidates {
   std::vector<Candidate> candidates;
 };
 
-/// Switches of the incremental pricing engine (CrpOptions mirrors
-/// these; the ablation bench toggles them independently).
+/// Caller hooks of the incremental pricing engine (the engine itself
+/// has no switches).
 struct PricingOptions {
-  bool cacheEnabled = true;  ///< memoize priceTree by terminal set
-  bool deltaEnabled = true;  ///< skip nets whose terminals are unchanged
-  /// When non-null, priceCandidates snapshots the phase cache's
-  /// (terminal set, price) entries here before the cache dies with the
-  /// pricer.  Consumed by the paranoid-level pricing-coherence audit,
-  /// which must replay the entries while demand is still frozen.
-  PricingCacheEntries* cacheEntriesOut = nullptr;
   /// When non-null, the pricer memoizes into this caller-owned cache
   /// instead of a phase-local one, so entries survive the phase.  The
   /// caller owns coherence: it must evict (invalidateRegions) every
@@ -72,12 +67,23 @@ std::vector<groute::GPoint> terminalsWithOverrides(
 
 /// Alg. 3 for one candidate: total pattern-route price of every net
 /// touching the moved cells, at the hypothetical positions.  Reference
-/// implementation (no cache, no delta); the engine in priceCandidates
-/// computes the same per-net prices.
+/// implementation (no cache, no delta): it sums the same per-net
+/// prices in the engine's order (the cell's nets in netsOfCell order,
+/// then the displaced cells' other nets ascending), so it returns the
+/// engine's price bit for bit.
 double estimateCandidateCost(
     const db::Database& db, const groute::GlobalRouter& router,
     const groute::PatternRouter& pattern, db::CellId cell,
-    const Candidate& candidate);
+    const Candidate& candidate, groute::PatternRouter::Scratch& scratch);
+
+/// Candidate-pricing invariant (paranoid ECC audit): re-prices every
+/// candidate with estimateCandidateCost against the frozen demand and
+/// records each whose routeCost differs.  Call before UD changes
+/// demand.
+void auditCandidatePrices(const db::Database& db,
+                          const groute::GlobalRouter& router,
+                          const std::vector<CellCandidates>& candidates,
+                          check::AuditReport& report);
 
 /// Alg. 2 (GCP phase): builds the candidate lists — current position
 /// plus the legalizer's proposals.  Candidates that would displace

@@ -62,8 +62,6 @@ obs::Json optionsFingerprintJson(const CrpOptions& options) {
   json.set("prioritizeByCost", options.prioritizeByCost);
   json.set("historyDamping", options.historyDamping);
   json.set("seed", options.seed);
-  json.set("pricingCache", options.pricingCache);
-  json.set("deltaPricing", options.deltaPricing);
   json.set("maxCriticalCells", options.maxCriticalCells);
   json.set("maxMovesTotal", options.maxMovesTotal);
   json.set("maxCandidates", options.legalizer.maxCandidates);
@@ -130,8 +128,9 @@ CommitPlan planMoveCommits(const std::vector<CellCandidates>& candidates,
   return plan;
 }
 
-void CrpFramework::maybeAudit(const char* phase, bool iterationEnd,
-                              const PricingCacheEntries* cacheEntries) {
+void CrpFramework::maybeAudit(
+    const char* phase, bool iterationEnd,
+    const std::vector<CellCandidates>* eccCandidates) {
   const check::AuditLevel level = options_.auditLevel;
   if (level == check::AuditLevel::kOff) return;
   if (level == check::AuditLevel::kPhaseBoundary && !iterationEnd) return;
@@ -143,11 +142,14 @@ void CrpFramework::maybeAudit(const char* phase, bool iterationEnd,
   auditor.auditPlacement(report);
   auditor.auditRoutes(report);
   auditor.auditDemand(report);
-  if (cacheEntries != nullptr && !cacheEntries->empty()) {
+  if (eccCandidates != nullptr) {
+    if (ecoCache_.size() > 0) {
+      ++report.invariantsChecked;
+      const groute::PatternRouter pattern(router_.graph());
+      check::auditCachedPrices(pattern, ecoCache_.entries(), report);
+    }
     ++report.invariantsChecked;
-    const groute::PatternRouter pattern(router_.graph(),
-                                        router_.options().maxZCandidates);
-    check::auditCachedPrices(pattern, *cacheEntries, report);
+    auditCandidatePrices(db_, router_, *eccCandidates, report);
   }
   if (iterationEnd && level == check::AuditLevel::kParanoid) {
     auditor.auditGuideRoundTrip(report);
@@ -253,28 +255,17 @@ obs::TimelineRecord CrpFramework::runIteration() {
     record.candidatesGenerated += static_cast<int>(cc.candidates.size());
   }
   maybeAudit(kPhaseGcp, /*iterationEnd=*/false);
-  PricingCacheEntries cacheEntries;
   obs::PricingStats eccStats;
   {
     CRP_OBS_SPAN("crp", "phase.ECC");
     CRP_OBS_EVENT("crp", "phase.ECC", iterIndex);
     util::Stopwatch watch;
     PricingOptions pricing;
-    pricing.cacheEnabled = options_.pricingCache;
-    pricing.deltaEnabled = options_.deltaPricing;
     // All iterations price through the persistent cache so clean-region
     // entries survive from one iteration (and run()/runEco call) to the
     // next; the UD hook below evicts the dirty ones before demand
     // changes.
-    if (pricing.cacheEnabled && ecoCache_) {
-      pricing.sharedCache = ecoCache_.get();
-    }
-    // The coherence replay needs the phase cache's contents, which die
-    // with the pricer; snapshot them only when paranoid will look.
-    if (options_.auditLevel == check::AuditLevel::kParanoid &&
-        pricing.cacheEnabled) {
-      pricing.cacheEntriesOut = &cacheEntries;
-    }
+    pricing.sharedCache = &ecoCache_;
     priceCandidates(db_, router_, candidates, pool_, pricing, &eccStats);
     chargePhase(kPhaseEcc, watch.seconds());
     // One aggregate publish per ECC phase (the pricing hot path keeps
@@ -284,9 +275,10 @@ obs::TimelineRecord CrpFramework::runIteration() {
     CRP_OBS_COUNT("pricing.delta_skips", eccStats.deltaSkips);
     CRP_OBS_COUNT("pricing.nets_priced", eccStats.netsPriced());
   }
-  // Coherence is only checkable here: the UD phase unfreezes demand,
-  // after which recomputed prices legitimately diverge from the cache.
-  maybeAudit(kPhaseEcc, /*iterationEnd=*/false, &cacheEntries);
+  // Coherence and candidate prices are only checkable here: the UD
+  // phase unfreezes demand, after which recomputed prices legitimately
+  // diverge from the cache and the candidates.
+  maybeAudit(kPhaseEcc, /*iterationEnd=*/false, &candidates);
 
   // ---- SEL: Eq. 12 -----------------------------------------------------------
   SelectionResult selection;
@@ -392,24 +384,19 @@ const obs::RunReport& CrpFramework::run() {
   obs::ObsContextScope obsScope(obsCtx_);
   CRP_OBS_SPAN("crp", "crp.run");
   // A run starts after a fresh GR, so entries from any earlier run are
-  // priced against dead demand — replace the cache wholesale.  The new
-  // cache then lives across this run's iterations AND into a later
-  // runEco: the UD hook evicts every entry whose bbox overlaps a
+  // priced against dead demand — empty the cache.  It then lives
+  // across this run's iterations AND into a later runEco: the UD hook evicts every entry whose bbox overlaps a
   // rerouted net's write region before the demand changes, so the
   // survivors are exact by the containment contract.  That is what
   // lets the first ECO iteration price mostly from cache instead of
   // re-paying ECC for the whole clean region.
-  if (options_.pricingCache) {
-    ecoCache_ = std::make_unique<PricingCache>();
-  } else {
-    ecoCache_.reset();
-  }
+  ecoCache_.clear();
   for (int k = 0; k < options_.iterations; ++k) runIteration();
   return runReport();
 }
 
 void CrpFramework::invalidateEcoCache(const std::vector<db::NetId>& nets) {
-  if (!ecoCache_ || ecoCache_->size() == 0 || nets.empty()) return;
+  if (ecoCache_.size() == 0 || nets.empty()) return;
   // Each net's rip-up + reroute writes within its current extent (old
   // route + terminals) grown by the maze margin; one extra gcell covers
   // edge-endpoint reads, mirroring planRerouteBatches.  By the
@@ -429,7 +416,7 @@ void CrpFramework::invalidateEcoCache(const std::vector<db::NetId>& nets) {
     regions.push_back(rect);
   }
   if (regions.empty()) return;
-  ecoEvictions_ += ecoCache_->invalidateRegions(regions);
+  ecoEvictions_ += ecoCache_.invalidateRegions(regions);
 }
 
 EcoReport CrpFramework::runEco(const db::EcoDelta& delta,
@@ -590,9 +577,6 @@ EcoReport CrpFramework::runEco(const db::EcoDelta& delta,
   report.scopeCells = static_cast<int>(scope.size());
 
   // 5. Restricted CR&P iterations with the persistent pricing cache.
-  if (options_.pricingCache && !ecoCache_) {
-    ecoCache_ = std::make_unique<PricingCache>();
-  }
   ecoMode_ = true;
   ecoScope_ = &scope;
   ecoMaxCandidates_ = eco.maxCandidates;

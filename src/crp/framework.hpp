@@ -200,18 +200,19 @@ class CrpFramework {
   /// The options.auditLevel hook, called at the end of each phase.
   /// `iterationEnd` marks the post-UD boundary (the only point the
   /// phase-boundary level audits; paranoid adds the I/O round-trips
-  /// there).  `cacheEntries` carries the ECC cache snapshot for the
-  /// pricing-coherence replay — meaningful only right after ECC, while
-  /// the demand maps are still frozen.  Read-only on all flow state;
-  /// throws check::AuditError when a report comes back dirty.
+  /// there).  `eccCandidates`, passed right after ECC while the demand
+  /// maps are still frozen, adds the pricing-cache coherence replay and
+  /// the candidate-pricing re-price of those candidates.  Read-only on
+  /// all flow state; throws check::AuditError when a report comes back
+  /// dirty.
   void maybeAudit(const char* phase, bool iterationEnd,
-                  const PricingCacheEntries* cacheEntries = nullptr);
+                  const std::vector<CellCandidates>* eccCandidates = nullptr);
 
   /// Evicts persistent-cache entries whose terminal bbox overlaps the
   /// about-to-change region of `nets` (each net's current extent plus
   /// the maze margin and one halo gcell — the same write-region bound
   /// the batch planner uses).  Call *before* the rip-up/reroute so the
-  /// extents still cover the old routes.  No-op without an ECO cache.
+  /// extents still cover the old routes.
   void invalidateEcoCache(const std::vector<db::NetId>& nets);
 
   db::Database& db_;
@@ -239,12 +240,12 @@ class CrpFramework {
   /// EcoOptions::maxCandidates for the current runEco call (<= 0 keeps
   /// the full-run legalizer width).
   int ecoMaxCandidates_ = 0;
-  /// Pricing cache that outlives individual ECC phases.  run() replaces
-  /// it wholesale (fresh GR invalidates everything) and then keeps it
-  /// across its iterations; runEco inherits the warm cache.  Cached
-  /// values are bit-identical to recomputed ones (pricing_cache.hpp),
-  /// so goldens are untouched.
-  std::unique_ptr<PricingCache> ecoCache_;
+  /// Pricing cache that outlives individual ECC phases: every ECC
+  /// phase prices through it.  run() empties it (fresh GR invalidates
+  /// everything) and then keeps it across its iterations; runEco
+  /// inherits the warm cache.  Cached values are bit-identical to
+  /// recomputed ones (pricing_cache.hpp), so goldens are untouched.
+  PricingCache ecoCache_;
   std::size_t ecoEvictions_ = 0;  ///< evictions within the current runEco
 };
 

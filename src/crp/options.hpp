@@ -60,17 +60,12 @@ struct CrpOptions {
   /// plan is deterministic and batch members touch disjoint regions).
   int routerThreads = 0;
 
-  /// ECC incremental pricing engine (docs/pricing_cache.md).  Both
-  /// knobs are value-exact: toggling them changes the ECC wall time,
-  /// never the candidate costs or the selection.
-  bool pricingCache = true;  ///< memoize priceTree by terminal set
-  bool deltaPricing = true;  ///< re-price only nets whose GCells changed
-
   /// In-flow invariant auditing (src/check, docs/checking.md).  Off is
   /// free (a single enum compare per phase); phase-boundary audits
   /// placement/routes/demand once per iteration after the UD commit;
   /// paranoid audits after every phase, replays the ECC pricing cache
-  /// against from-scratch prices, and round-trips the guide/DEF
+  /// against from-scratch prices, re-prices every ECC candidate with
+  /// the reference pricer, and round-trips the guide/DEF
   /// writers at iteration ends.  A dirty audit throws check::AuditError.
   /// Value-exact: no level mutates any flow state, so the run
   /// fingerprint is identical at every setting.

@@ -49,8 +49,7 @@ void canonicalizeTerminals(std::vector<groute::GPoint>& terminals);
 std::uint64_t terminalSetHash(const std::vector<groute::GPoint>& terminals);
 
 /// Snapshot of cache contents: (canonical terminal set, price) pairs in
-/// deterministic (sorted) order.  Produced by PricingCache::entries(),
-/// carried out of the ECC phase through PricingOptions::cacheEntriesOut
+/// deterministic (sorted) order.  Produced by PricingCache::entries()
 /// and replayed by the pricing-coherence audit.
 using PricingCacheEntries =
     std::vector<std::pair<std::vector<groute::GPoint>, double>>;
@@ -72,11 +71,6 @@ class PricingCache {
   /// Records nets skipped entirely by delta pricing.
   void countDeltaSkip(std::uint64_t n = 1) {
     deltaSkips_.fetch_add(n, std::memory_order_relaxed);
-  }
-  /// Records prices computed without consulting the cache (cache-off
-  /// mode still reports how much work the ECC phase did).
-  void countBypass(std::uint64_t n = 1) {
-    misses_.fetch_add(n, std::memory_order_relaxed);
   }
 
   obs::PricingStats stats() const;
@@ -103,10 +97,9 @@ class PricingCache {
   void clear();
 
   /// Snapshot of every (canonical terminal set, cached price) entry, in
-  /// a deterministic order (sorted by terminal set).  The cache itself
-  /// dies with the ECC phase; the snapshot is what the pricing-coherence
-  /// audit (check::auditCachedPrices) replays against a from-scratch
-  /// priceTree while the demand maps are still frozen.
+  /// a deterministic order (sorted by terminal set): what the
+  /// pricing-coherence audit (check::auditCachedPrices) replays against
+  /// a from-scratch priceTree while the demand maps are still frozen.
   PricingCacheEntries entries() const;
 
  private:

@@ -15,7 +15,7 @@ GlobalRouter::GlobalRouter(const db::Database& db,
     : db_(db),
       options_(options),
       graph_(db, options.cost),
-      pattern_(graph_, options.maxZCandidates),
+      pattern_(graph_),
       maze_(graph_, options.mazeMargin),
       routes_(db.numNets()) {
   for (db::NetId n = 0; n < db.numNets(); ++n) routes_[n].net = n;

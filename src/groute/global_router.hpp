@@ -39,7 +39,6 @@ struct GlobalRouterOptions {
   CostConfig cost;
   int rrrRounds = 3;      ///< negotiated reroute rounds after initial route
   int mazeMargin = 6;     ///< gcell margin around the net bbox for maze
-  int maxZCandidates = 8; ///< Z-shape sampling in pattern routing
   /// Worker threads for batch reroutes (rerouteNets): 1 = serial,
   /// 0 = hardware concurrency.  The route fingerprint and demand maps
   /// are bit-identical across all values (determinism contract).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <limits>
 #include <tuple>
 
@@ -10,27 +9,6 @@ namespace crp::groute {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-std::uint64_t mixLeg(std::uint64_t h) {
-  h += 0x9e3779b97f4a7c15ULL;
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-  return h ^ (h >> 31);
-}
-}
-
-std::size_t PatternRouter::Scratch::TwoPinLegHash::operator()(
-    const TwoPinLeg& leg) const {
-  std::uint64_t h = mixLeg(
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(leg.a.x)) << 32) |
-      static_cast<std::uint32_t>(leg.a.y));
-  h = mixLeg(h ^ static_cast<std::uint32_t>(leg.a.layer));
-  h = mixLeg(
-      h ^
-      ((static_cast<std::uint64_t>(static_cast<std::uint32_t>(leg.b.x)) << 32) |
-       static_cast<std::uint32_t>(leg.b.y)));
-  h = mixLeg(h ^ static_cast<std::uint32_t>(leg.b.layer));
-  return static_cast<std::size_t>(h);
 }
 
 void PatternRouter::buildCandidatePaths(int ax, int ay, int bx, int by,
@@ -57,7 +35,7 @@ void PatternRouter::buildCandidatePaths(int ax, int ay, int bx, int by,
     picks.clear();
     const int span = std::abs(hi - lo) - 1;
     if (span <= 0) return picks;
-    const int count = std::min(span, maxZCandidates_);
+    const int count = std::min(span, kMaxZCandidates);
     for (int i = 1; i <= count; ++i) {
       const int offset = span * i / (count + 1) + 1;
       picks.push_back(lo < hi ? lo + offset : lo - offset);
@@ -290,26 +268,8 @@ bool PatternRouter::routeTreeInto(const std::vector<GPoint>& terminals,
     const GPoint b{accessLayer(pb), static_cast<int>(pb.x),
                    static_cast<int>(pb.y)};
     bool ok = false;
-    if (s.useTwoPinMemo) {
-      // Replay memoized legs verbatim (cost and segments) so the
-      // via-merge pass below sees the exact segment stream the live
-      // route would have produced.
-      const auto [it, inserted] =
-          s.twoPinMemo.try_emplace(Scratch::TwoPinLeg{a, b});
-      if (inserted) {
-        s.legSegments.clear();
-        it->second.cost = routeTwoPinInto(a, b, s, s.legSegments, ok);
-        it->second.ok = ok;
-        it->second.segments = s.legSegments;
-      }
-      if (!it->second.ok) return false;
-      cost += it->second.cost;
-      s.segments.insert(s.segments.end(), it->second.segments.begin(),
-                        it->second.segments.end());
-    } else {
-      cost += routeTwoPinInto(a, b, s, s.segments, ok);
-      if (!ok) return false;
-    }
+    cost += routeTwoPinInto(a, b, s, s.segments, ok);
+    if (!ok) return false;
     touch(a.x, a.y, a.layer);
     touch(b.x, b.y, b.layer);
   }

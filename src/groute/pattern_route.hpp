@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstddef>
-#include <unordered_map>
 #include <vector>
 
 #include "groute/routing_graph.hpp"
@@ -66,34 +65,13 @@ class PatternRouter {
     };
     std::vector<ColumnTouch> touches;
     std::vector<RouteSegment> segments;
-    // Optional per-phase two-pin memo.  Terminal sets priced in one ECC
-    // phase share most Steiner legs (delta candidates move one pin), so
-    // each distinct (a, b) leg is routed once and its cost + segments
-    // replayed verbatim — the via-merge pass still sees the same
-    // segment stream, so tree costs stay bit-identical.  Valid only
-    // while the graph's demand maps are frozen: callers enable it per
-    // pricing phase and clear it when demand changes.  Off by default
-    // so routeTwoPin/routeTree stay memo-free.
-    bool useTwoPinMemo = false;
-    struct TwoPinLeg {
-      GPoint a, b;
-      bool operator==(const TwoPinLeg&) const = default;
-    };
-    struct TwoPinLegHash {
-      std::size_t operator()(const TwoPinLeg& leg) const;
-    };
-    struct TwoPinRoute {
-      double cost = 0.0;
-      bool ok = false;
-      std::vector<RouteSegment> segments;
-    };
-    std::unordered_map<TwoPinLeg, TwoPinRoute, TwoPinLegHash> twoPinMemo;
-    std::vector<RouteSegment> legSegments;  // single-leg staging buffer
   };
 
-  explicit PatternRouter(const RoutingGraph& graph,
-                         int maxZCandidates = 8)
-      : graph_(graph), maxZCandidates_(maxZCandidates) {}
+  /// Z-shape bends sampled per direction (evenly over the span when
+  /// it is wider than this).
+  static constexpr int kMaxZCandidates = 8;
+
+  explicit PatternRouter(const RoutingGraph& graph) : graph_(graph) {}
 
   /// Routes between two gcell columns; `a.layer` / `b.layer` are the
   /// access (pin) layers charged for via stacks at the endpoints.
@@ -149,7 +127,6 @@ class PatternRouter {
                      double& cost) const;
 
   const RoutingGraph& graph_;
-  int maxZCandidates_;
 };
 
 }  // namespace crp::groute

@@ -1,13 +1,15 @@
 // Tests for the ECC incremental candidate-cost engine: terminal-set
-// canonicalization + hashing, the sharded pricing cache, value-exact
-// delta pricing, and the framework-level determinism guarantees
-// (threads=1 vs threads=N, cache on vs off — identical selections and
-// costs, bit for bit).
+// canonicalization + hashing, the sharded pricing cache, engine prices
+// equal to the reference pricer's bit for bit, and the framework-level
+// determinism guarantee (threads=1 vs threads=8 — identical selections
+// and costs, bit for bit).
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 #include <vector>
 
+#include "bmgen/generator.hpp"
 #include "crp/framework.hpp"
 #include "crp/pricing_cache.hpp"
 #include "test_helpers.hpp"
@@ -73,7 +75,9 @@ TEST(TerminalHash, SizeDistinguishesPrefixSets) {
 // ---- pricing cache -----------------------------------------------------------
 
 struct Fixture {
-  Fixture() : db(crp::testing::makeGridDatabase(10, 6)), router(db) {
+  Fixture() : Fixture(crp::testing::makeGridDatabase(10, 6)) {}
+  explicit Fixture(db::Database database)
+      : db(std::move(database)), router(db) {
     router.run();
   }
   db::Database db;
@@ -133,67 +137,49 @@ TEST(PricingCache, SharedAcrossThreads) {
 // ---- engine == naive reference ----------------------------------------------
 
 TEST(PricingEngine, MatchesNaiveReferencePrices) {
-  Fixture f;
+  // A dense generated design, so legalizer candidates displace
+  // conflict cells and the displaced-pin paths of the engine are
+  // exercised (the 50%-utilization grid fixture never displaces).
+  bmgen::BenchmarkSpec spec;
+  spec.targetCells = 300;
+  spec.utilization = 0.85;
+  spec.seed = 2;
+  Fixture f(bmgen::generateBenchmark(spec));
   const legalizer::IlpLegalizer legalizer(f.db);
-  const std::vector<db::CellId> critical{1, 4, 9, 16, 23};
+  std::vector<db::CellId> critical;
+  for (db::CellId c = 0; c < f.db.numCells(); c += 3) critical.push_back(c);
   auto engine = buildCandidates(f.db, legalizer, critical, nullptr);
   auto naive = engine;
+  std::size_t displacing = 0;
+  for (const auto& cc : engine) {
+    for (const auto& candidate : cc.candidates) {
+      if (!candidate.displaced.empty()) ++displacing;
+    }
+  }
+  ASSERT_GT(displacing, 0u);
 
-  PricingOptions fast;  // cache + delta on
-  priceCandidates(f.db, f.router, engine, nullptr, fast);
+  obs::PricingStats stats;
+  priceCandidates(f.db, f.router, engine, nullptr, PricingOptions{}, &stats);
 
   const groute::PatternRouter pattern(f.router.graph());
+  groute::PatternRouter::Scratch scratch;
   for (auto& cc : naive) {
     for (auto& candidate : cc.candidates) {
       candidate.routeCost = estimateCandidateCost(f.db, f.router, pattern,
-                                                  cc.cell, candidate);
+                                                  cc.cell, candidate, scratch);
     }
   }
   for (std::size_t i = 0; i < engine.size(); ++i) {
     for (std::size_t k = 0; k < engine[i].candidates.size(); ++k) {
-      EXPECT_NEAR(engine[i].candidates[k].routeCost,
-                  naive[i].candidates[k].routeCost, 1e-9)
+      // Bitwise equality: the engine substitutes identical values only,
+      // and sums them in the reference's order.
+      EXPECT_EQ(engine[i].candidates[k].routeCost,
+                naive[i].candidates[k].routeCost)
           << "cell " << engine[i].cell << " candidate " << k;
     }
   }
-}
-
-TEST(PricingEngine, CacheAndDeltaAreValueExact) {
-  Fixture f;
-  const legalizer::IlpLegalizer legalizer(f.db);
-  const std::vector<db::CellId> critical{0, 5, 11, 17, 29};
-  const auto base = buildCandidates(f.db, legalizer, critical, nullptr);
-
-  auto priceWith = [&](bool cache, bool delta, obs::PricingStats* stats) {
-    auto copy = base;
-    PricingOptions options;
-    options.cacheEnabled = cache;
-    options.deltaEnabled = delta;
-    priceCandidates(f.db, f.router, copy, nullptr, options, stats);
-    return copy;
-  };
-
-  obs::PricingStats onStats;
-  const auto off = priceWith(false, false, nullptr);
-  const auto on = priceWith(true, true, &onStats);
-  const auto cacheOnly = priceWith(true, false, nullptr);
-  const auto deltaOnly = priceWith(false, true, nullptr);
-
-  ASSERT_EQ(off.size(), on.size());
-  for (std::size_t i = 0; i < off.size(); ++i) {
-    ASSERT_EQ(off[i].candidates.size(), on[i].candidates.size());
-    for (std::size_t k = 0; k < off[i].candidates.size(); ++k) {
-      // Bitwise equality: the engine substitutes identical values only.
-      EXPECT_EQ(off[i].candidates[k].routeCost,
-                on[i].candidates[k].routeCost);
-      EXPECT_EQ(off[i].candidates[k].routeCost,
-                cacheOnly[i].candidates[k].routeCost);
-      EXPECT_EQ(off[i].candidates[k].routeCost,
-                deltaOnly[i].candidates[k].routeCost);
-    }
-  }
   // The engine must actually be reusing work on this fixture.
-  EXPECT_GT(onStats.cacheHits + onStats.deltaSkips, 0u);
+  EXPECT_GT(stats.cacheHits + stats.deltaSkips, 0u);
 }
 
 TEST(PricingEngine, ReportsStats) {
@@ -218,7 +204,7 @@ struct RunOutcome {
   friend bool operator==(const RunOutcome&, const RunOutcome&) = default;
 };
 
-RunOutcome runFramework(int threads, bool cache, bool delta) {
+RunOutcome runFramework(int threads) {
   auto db = crp::testing::makeGridDatabase(10, 6);
   groute::GlobalRouter router(db);
   router.run();
@@ -226,8 +212,6 @@ RunOutcome runFramework(int threads, bool cache, bool delta) {
   options.iterations = 2;
   options.seed = 42;
   options.threads = threads;
-  options.pricingCache = cache;
-  options.deltaPricing = delta;
   CrpFramework framework(db, router, options);
   const obs::RunReport& report = framework.run();
   RunOutcome outcome;
@@ -240,13 +224,8 @@ RunOutcome runFramework(int threads, bool cache, bool delta) {
   return outcome;
 }
 
-TEST(PricingEngine, DeterministicAcrossThreadsAndCacheModes) {
-  const RunOutcome reference = runFramework(1, true, true);
-  EXPECT_EQ(reference, runFramework(8, true, true));
-  EXPECT_EQ(reference, runFramework(1, false, false));
-  EXPECT_EQ(reference, runFramework(8, false, false));
-  EXPECT_EQ(reference, runFramework(8, true, false));
-  EXPECT_EQ(reference, runFramework(8, false, true));
+TEST(PricingEngine, DeterministicAcrossThreads) {
+  EXPECT_EQ(runFramework(1), runFramework(8));
 }
 
 TEST(PricingEngine, FrameworkReportCarriesPricingStats) {

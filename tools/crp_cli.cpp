@@ -66,9 +66,12 @@
 //       SIGINT or a client shutdown op.  --ledger appends one run-
 //       ledger entry per completed run/eco job.
 //
-// A flag the subcommand does not read (or one given without a value)
-// is an error: crp exits 2 naming it, before reading any input.
+// A flag the subcommand does not read, one given without a value, or
+// a numeric flag whose value is not a number is an error: crp exits 2
+// naming it, before reading any input.
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
@@ -128,23 +131,48 @@ struct Args {
     return args;
   }
 
-  double number(const std::string& key, double fallback) const {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::atof(it->second.c_str());
+  /// Whole-string number: nullopt for "abc", "3x", "" or a non-finite
+  /// value.
+  static std::optional<double> parseNumber(const std::string& text) {
+    double value = 0.0;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end || !std::isfinite(value)) {
+      return std::nullopt;
+    }
+    return value;
   }
 
-  /// Describes the first flag outside `known` (or one left without a
-  /// value); empty when every flag is known.  A flag the command does
-  /// not read would otherwise be dropped silently, and a misspelt one
-  /// would run the defaults.
-  std::string unreadFlag(const std::vector<std::string>& known) const {
+  /// Value of a numeric flag (checked by badFlag before the command
+  /// runs), or `fallback` when the flag is absent.
+  double number(const std::string& key, double fallback) const {
+    const auto it = flags.find(key);
+    return it == flags.end() ? fallback : parseNumber(it->second).value();
+  }
+
+  /// Describes the first flag outside `numbers` + `texts`, one left
+  /// without a value, or a `numbers` flag whose value is not a number;
+  /// empty when every flag is good.  A flag the command does not read
+  /// would otherwise be dropped silently, a misspelt one would run the
+  /// defaults, and a non-numeric value would run as 0.
+  std::string badFlag(const std::vector<std::string>& numbers,
+                      const std::vector<std::string>& texts) const {
+    auto listed = [](const std::vector<std::string>& list,
+                     const std::string& key) {
+      return std::find(list.begin(), list.end(), key) != list.end();
+    };
     for (const auto& [key, value] : flags) {
-      if (std::find(known.begin(), known.end(), key) == known.end()) {
+      if (!listed(numbers, key) && !listed(texts, key)) {
         return "unknown flag --" + key;
       }
     }
     for (const std::string& token : positional) {
       if (token.rfind("--", 0) == 0) return "flag " + token + " needs a value";
+    }
+    for (const auto& [key, value] : flags) {
+      if (listed(numbers, key) && !parseNumber(value)) {
+        return "flag --" + key + " needs a number";
+      }
     }
     return {};
   }
@@ -172,8 +200,27 @@ void printMetrics(const droute::DetailedRouteStats& stats,
 int cmdGenerate(const Args& args) {
   if (args.positional.size() < 2) {
     std::cerr << "usage: crp generate out.lef out.def [--cells N] "
-                 "[--util U] [--hotspots H] [--seed S]\n";
+                 "[--util U] [--hotspots H] [--seed S] "
+                 "[--perturb SEED,FRAC]\n";
     return 2;
+  }
+  // --perturb SEED,FRAC: the paired-benchmark emission (docs/eco.md).
+  // Both halves are numbers, checked before anything is written.
+  std::optional<bmgen::PerturbOptions> perturb;
+  if (const auto it = args.flags.find("perturb"); it != args.flags.end()) {
+    perturb.emplace();
+    const std::size_t comma = it->second.find(',');
+    const auto seed = Args::parseNumber(it->second.substr(0, comma));
+    const auto frac = comma == std::string::npos
+                          ? std::optional<double>(perturb->frac)
+                          : Args::parseNumber(it->second.substr(comma + 1));
+    if (!seed || !frac) {
+      std::cerr << "crp generate: flag --perturb needs a number "
+                   "(SEED or SEED,FRAC)\n";
+      return 2;
+    }
+    perturb->seed = static_cast<std::uint64_t>(*seed);
+    perturb->frac = *frac;
   }
   bmgen::BenchmarkSpec spec;
   spec.name = std::filesystem::path(args.positional[1]).stem().string();
@@ -187,18 +234,8 @@ int cmdGenerate(const Args& args) {
   std::cout << "generated " << db.numCells() << " cells / " << db.numNets()
             << " nets -> " << args.positional[0] << ", "
             << args.positional[1] << "\n";
-  const auto perturbIt = args.flags.find("perturb");
-  if (perturbIt != args.flags.end()) {
-    // --perturb SEED,FRAC: the paired-benchmark emission (docs/eco.md).
-    bmgen::PerturbOptions perturb;
-    const std::string& value = perturbIt->second;
-    const std::size_t comma = value.find(',');
-    perturb.seed = static_cast<std::uint64_t>(
-        std::atof(value.substr(0, comma).c_str()));
-    if (comma != std::string::npos) {
-      perturb.frac = std::atof(value.substr(comma + 1).c_str());
-    }
-    const db::EcoDelta delta = bmgen::perturbDesign(db, perturb);
+  if (perturb) {
+    const db::EcoDelta delta = bmgen::perturbDesign(db, *perturb);
     std::filesystem::path deltaPath(args.positional[1]);
     deltaPath.replace_extension(".eco.json");
     std::string writeError;
@@ -210,7 +247,7 @@ int cmdGenerate(const Args& args) {
       return 1;
     }
     std::cout << "eco delta (" << delta.size() << " edits, seed "
-              << perturb.seed << ", frac " << perturb.frac << ") -> "
+              << perturb->seed << ", frac " << perturb->frac << ") -> "
               << deltaPath.string() << "\n";
   }
   return 0;
@@ -447,8 +484,7 @@ int cmdRun(const Args& args) {
   if (args.positional.size() < 4) {
     std::cerr << "usage: crp run in.lef in.def out.def out.guide [--k N] "
                  "[--gamma G] [--seed S] [--threads N] "
-                 "[--router-threads N] [--cache 0|1] "
-                 "[--delta 0|1] [--obs 0|1] "
+                 "[--router-threads N] [--obs 0|1] "
                  "[--audit off|phase|paranoid] "
                  "[--snapshots 0|1] "
                  "[--trace-out trace.json] "
@@ -478,8 +514,6 @@ int cmdRun(const Args& args) {
   options.seed = static_cast<std::uint64_t>(args.number("seed", 1));
   options.threads = static_cast<int>(args.number("threads", 0));
   options.routerThreads = routerThreads;
-  options.pricingCache = args.number("cache", 1) > 0;
-  options.deltaPricing = args.number("delta", 1) > 0;
   // --audit arms the in-flow invariant audits (docs/checking.md); a
   // violation aborts the run with the structured failure list.
   if (args.flags.count("audit") != 0) {
@@ -696,12 +730,14 @@ int cmdServe(const Args& args) {
   return 0;
 }
 
-/// A subcommand and every --flag it reads; any other flag is rejected
-/// before the command runs.
+/// A subcommand and every --flag it reads; any other flag, and a
+/// numeric one whose value is not a number, is rejected before the
+/// command runs.
 struct Command {
   const char* name;
   int (*run)(const Args&);
-  std::vector<std::string> flags;
+  std::vector<std::string> numbers;  ///< flags read through Args::number
+  std::vector<std::string> texts;    ///< flags read as strings
 };
 
 /// The flags writeObsArtifacts reads, plus `extra`.
@@ -714,23 +750,24 @@ std::vector<std::string> withArtifactFlags(std::vector<std::string> extra) {
 }
 
 const Command kCommands[] = {
-    {"generate", cmdGenerate, {"cells", "util", "hotspots", "seed", "perturb"}},
-    {"route", cmdRoute, {}},
+    {"generate", cmdGenerate, {"cells", "util", "hotspots", "seed"},
+     {"perturb"}},
+    {"route", cmdRoute, {}, {}},
     {"run", cmdRun,
-     withArtifactFlags({"k", "gamma", "seed", "threads", "router-threads",
-                        "cache", "delta", "obs", "audit", "snapshots",
-                        "flight-dir", "ledger"})},
+     {"k", "gamma", "seed", "threads", "router-threads", "obs", "snapshots"},
+     withArtifactFlags({"audit", "flight-dir", "ledger"})},
     {"eco", cmdEco,
-     withArtifactFlags({"k", "base-k", "halo", "seed", "router-threads",
-                        "audit", "compare-scratch", "obs", "ledger"})},
-    {"detail", cmdDetail, {}},
-    {"flow", cmdFlow, withArtifactFlags({"k", "obs"})},
-    {"congestion", cmdCongestion, {"layer"}},
-    {"place", cmdPlace, {"passes"}},
-    {"svg", cmdSvg, {"routes", "congestion"}},
-    {"suite", cmdSuite, {"scale"}},
-    {"serve", cmdServe,
-     {"socket", "workers", "max-sessions", "verbose", "ledger"}},
+     {"k", "base-k", "halo", "seed", "router-threads", "compare-scratch",
+      "obs"},
+     withArtifactFlags({"audit", "ledger"})},
+    {"detail", cmdDetail, {}, {}},
+    {"flow", cmdFlow, {"k", "obs"}, withArtifactFlags({})},
+    {"congestion", cmdCongestion, {"layer"}, {}},
+    {"place", cmdPlace, {"passes"}, {}},
+    {"svg", cmdSvg, {"routes", "congestion"}, {}},
+    {"suite", cmdSuite, {"scale"}, {}},
+    {"serve", cmdServe, {"workers", "max-sessions", "verbose"},
+     {"socket", "ledger"}},
 };
 
 }  // namespace
@@ -750,7 +787,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   const Args args = Args::parse(argc, argv, 2);
-  if (const std::string bad = args.unreadFlag(it->flags); !bad.empty()) {
+  if (const std::string bad = args.badFlag(it->numbers, it->texts);
+      !bad.empty()) {
     std::cerr << "crp " << command << ": " << bad << "\n";
     return 2;
   }
