@@ -171,7 +171,7 @@ echo "serve smoke ok"
 
 for b in build/bench/*; do "$b"; done 2>&1 | tee bench_output.txt
 
-# Differential fuzz campaign + ASan/UBSan leg (docs/checking.md): the
+# Differential fuzz campaign + ASan/UBSan and TSan legs (docs/checking.md): the
 # audited flow must agree with itself bit-for-bit across paired
 # configurations on 25 seeds.  Skip with CRP_SKIP_FUZZ=1.
 if [[ "${CRP_SKIP_FUZZ:-0}" != "1" ]]; then

@@ -17,8 +17,16 @@
 #      both at paranoid audit level.  Skip with CRP_SKIP_SCENARIOS=1.
 #   3. A shorter campaign in a separate ASan+UBSan build tree
 #      (CRP_SANITIZE=address), so memory errors on the audited paths
-#      surface even when every invariant holds.  Skip with
+#      surface even when every invariant holds, plus the ObsContext and
+#      ThreadPool tests in the same tree (a pool helper that outlives
+#      its caller's context, the context-scope nesting).  Skip with
 #      CRP_SKIP_ASAN=1.
+#   4. ThreadPool + pricing + observability + parallel-reroute + serve
+#      tests under ThreadSanitizer (CRP_SANITIZE=thread, separate
+#      build tree), guarding the sharded cache, the dynamic parallelFor
+#      scheduling, the metrics registry / span tracer / flight-recorder
+#      ring, the concurrent rerouteNet batches and the interleaved
+#      serve sessions.  Skip with CRP_SKIP_TSAN=1.
 #
 # Nightly use: raise the range via the environment, e.g.
 #   CRP_FUZZ_SEEDS=500 CRP_FUZZ_SEED_START=1000 scripts/run_fuzz.sh
@@ -51,7 +59,19 @@ if [[ "${CRP_SKIP_ASAN:-0}" != "1" ]]; then
   ASAN_BUILD=build-asan
   cmake -B "$ASAN_BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCRP_SANITIZE=address
-  cmake --build "$ASAN_BUILD" -j "$(nproc)" --target crp_fuzz
+  cmake --build "$ASAN_BUILD" -j "$(nproc)" \
+    --target crp_fuzz test_obs test_util
   "$ASAN_BUILD"/tools/crp_fuzz --seeds 6 --seed-start "$SEED_START" --k 1 \
     --artifacts fuzz-artifacts-asan
+  ctest --test-dir "$ASAN_BUILD" --output-on-failure -R 'ObsContext|ThreadPool'
+fi
+
+if [[ "${CRP_SKIP_TSAN:-0}" != "1" ]]; then
+  TSAN_BUILD=build-tsan
+  cmake -B "$TSAN_BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCRP_SANITIZE=thread
+  cmake --build "$TSAN_BUILD" -j "$(nproc)" \
+    --target test_util test_pricing test_obs test_groute test_serve
+  ctest --test-dir "$TSAN_BUILD" --output-on-failure \
+    -R 'ThreadPool|PricingCache|PricingEngine|Metrics|Tracer|ObsMacros|FlightRecorder|ParallelReroute|ObsContext|Logger|Serve'
 fi

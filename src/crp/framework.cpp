@@ -18,8 +18,7 @@ CrpFramework::CrpFramework(db::Database& db, groute::GlobalRouter& router,
       router_(router),
       options_(options),
       rng_(options.seed),
-      obsCtx_(options.obsContext != nullptr ? options.obsContext
-                                            : &obs::currentContext()) {
+      obsCtx_(obs::currentContext()) {
   if (options_.sharedPool != nullptr) {
     pool_ = options_.sharedPool;
   } else {
@@ -28,12 +27,8 @@ CrpFramework::CrpFramework(db::Database& db, groute::GlobalRouter& router,
                              : static_cast<std::size_t>(options.threads));
     pool_ = ownedPool_.get();
   }
-  // From here on everything this framework does — including the
-  // snapshot below, whose delta feeds the RunReport counters — records
-  // into obsCtx_, not whatever context the constructing thread had.
-  obs::ObsContextScope scope(obsCtx_);
   router_.setRouterThreads(options.routerThreads);
-  baseline_ = obsCtx_->metrics().snapshot();
+  baseline_ = obsCtx_.metrics().snapshot();
   for (const char* phase : kPhases) {
     runReport_.phases.push_back(obs::RunReport::PhaseStat{phase, 0.0});
   }
@@ -41,7 +36,7 @@ CrpFramework::CrpFramework(db::Database& db, groute::GlobalRouter& router,
 }
 
 bool CrpFramework::spatialEnabled() const {
-  return options_.snapshots && obsCtx_->enabled();
+  return options_.snapshots && obsCtx_.enabled();
 }
 
 const obs::HeatmapSnapshot& CrpFramework::captureSnapshot(std::string label,
@@ -49,7 +44,7 @@ const obs::HeatmapSnapshot& CrpFramework::captureSnapshot(std::string label,
   heatmaps_.add(
       groute::captureHeatmap(router_.graph(), std::move(label), iteration));
   const obs::HeatmapSnapshot& snapshot = heatmaps_.latest();
-  obsCtx_->flightRecorder().setLatestHeatmap(snapshot.toJson());
+  obsCtx_.flightRecorder().setLatestHeatmap(snapshot.toJson());
   CRP_OBS_COUNT("obs.heatmap_snapshots", 1);
   return snapshot;
 }
@@ -632,7 +627,7 @@ const obs::RunReport& CrpFramework::runReport() {
   // registry: concurrent sessions can no longer perturb each other's
   // ILP counters (the fingerprint-isolation property test_serve
   // asserts).
-  const obs::MetricsSnapshot now = obsCtx_->metrics().snapshot();
+  const obs::MetricsSnapshot now = obsCtx_.metrics().snapshot();
   const obs::MetricsSnapshot delta = now.deltaSince(baseline_);
   runReport_.counters = delta.counters;
   runReport_.ilp.solves = delta.counters.count("ilp.solves")

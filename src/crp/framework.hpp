@@ -99,8 +99,8 @@ struct CommitPlan {
 
 /// The deterministic configuration surface of a run as an ordered JSON
 /// object: every CrpOptions knob that can change flow decisions or
-/// QoR (iterations, gamma, seed, tiling, pricing switches, budgets) —
-/// not the engine-placement knobs (threads, pools, contexts) that are
+/// QoR (iterations, gamma, temperature, the ablation switches, seed,
+/// budgets) — not the engine-placement knobs (threads, pools) that are
 /// value-exact by contract.  The run ledger digests this document
 /// (obs::fnv1a64Hex) so "same options" is checkable across runs and
 /// hosts without storing the whole option set.
@@ -121,8 +121,9 @@ CommitPlan planMoveCommits(const std::vector<CellCandidates>& candidates,
 class CrpFramework {
  public:
   /// The framework mutates `db` (cell positions) and `router` (routes
-  /// and demand maps); both must outlive it, as must
-  /// options.obsContext and options.sharedPool when set.
+  /// and demand maps); both must outlive it, as must the ambient
+  /// ObsContext it is constructed under and options.sharedPool when
+  /// set.
   CrpFramework(db::Database& db, groute::GlobalRouter& router,
                CrpOptions options = {});
 
@@ -164,10 +165,9 @@ class CrpFramework {
     iterationCallback_ = std::move(callback);
   }
 
-  /// The context this framework records into (never null after
-  /// construction; the ambient/default one unless options.obsContext
-  /// was set).
-  obs::ObsContext& obsContext() { return *obsCtx_; }
+  /// The context this framework records into: the ambient one at
+  /// construction.
+  obs::ObsContext& obsContext() { return obsCtx_; }
 
   const std::unordered_set<db::CellId>& movedSet() const { return moved_; }
   const std::unordered_set<db::CellId>& criticalHistory() const {
@@ -219,10 +219,11 @@ class CrpFramework {
   groute::GlobalRouter& router_;
   CrpOptions options_;
   util::Rng rng_;
-  /// Resolved at construction: options.obsContext, else the ambient
-  /// context of the constructing thread.  Every entry point installs
-  /// it, so metrics/spans/events/log lines land per-session.
-  obs::ObsContext* obsCtx_ = nullptr;
+  /// The ambient context of the constructing thread.  Every entry
+  /// point installs it and runReport() reads it, so a caller outside
+  /// the session's scope (Server::appendLedgerEntry) still sees this
+  /// run's counters.
+  obs::ObsContext& obsCtx_;
   std::unique_ptr<util::ThreadPool> ownedPool_;  ///< null on sharedPool
   util::ThreadPool* pool_ = nullptr;
   std::function<void(const obs::TimelineRecord&)> iterationCallback_;

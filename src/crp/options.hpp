@@ -10,9 +10,6 @@
 #include "check/audit.hpp"
 #include "legalizer/ilp_legalizer.hpp"
 
-namespace crp::obs {
-class ObsContext;
-}
 namespace crp::util {
 class ThreadPool;
 }
@@ -35,14 +32,6 @@ struct CrpOptions {
 
   std::uint64_t seed = 1;  ///< Alg. 1's annealing draw (reproducible)
   int threads = 0;         ///< worker threads for Alg. 2/3; 0 = hardware
-
-  /// Observability context this run records into (metrics, spans,
-  /// flight events, log lines).  Null resolves the ambient context at
-  /// framework construction — the process default outside any
-  /// ObsContextScope, i.e. the exact pre-daemon behavior.  A serve
-  /// session passes its own context here so concurrent runs never
-  /// interleave (see docs/serve.md).
-  obs::ObsContext* obsContext = nullptr;
 
   /// Worker pool for Alg. 2/3 (and, via GlobalRouterOptions, the UD
   /// batch reroute).  Null: the framework owns a private pool of

@@ -227,7 +227,6 @@ std::vector<std::vector<db::NetId>> GlobalRouter::planRerouteBatches(
 
 RerouteBatchStats GlobalRouter::rerouteNets(const std::vector<db::NetId>& nets,
                                             bool mazeFirst) {
-  obs::ObsContextScope obsScope(options_.obsContext);
   RerouteBatchStats stats;
   stats.nets = static_cast<int>(nets.size());
   if (nets.empty()) return stats;
@@ -293,7 +292,6 @@ double GlobalRouter::netRouteCost(db::NetId net) const {
 }
 
 GlobalRouteStats GlobalRouter::run() {
-  obs::ObsContextScope obsScope(options_.obsContext);
   // Initial routing order: cheapest (smallest HPWL) nets first, so
   // large nets see the congestion the small ones created and detour.
   std::vector<db::NetId> order(db_.numNets());

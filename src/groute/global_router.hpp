@@ -29,10 +29,6 @@
 #include "lefdef/guide_io.hpp"
 #include "util/thread_pool.hpp"
 
-namespace crp::obs {
-class ObsContext;
-}
-
 namespace crp::groute {
 
 struct GlobalRouterOptions {
@@ -43,11 +39,6 @@ struct GlobalRouterOptions {
   /// 0 = hardware concurrency.  The route fingerprint and demand maps
   /// are bit-identical across all values (determinism contract).
   int routerThreads = 0;
-  /// Observability context router entry points (run, rerouteNets)
-  /// record into — gr.* counters, spans, reroute.fail events.  Null
-  /// resolves ambiently (thread scope, else the process default), the
-  /// pre-daemon behavior.  Must outlive the router when set.
-  obs::ObsContext* obsContext = nullptr;
   /// Shared worker pool for batch reroutes.  Null: the router builds a
   /// private pool of routerThreads workers on first use, as before.
   /// Non-null: batches run on this pool (the serve daemon's, shared

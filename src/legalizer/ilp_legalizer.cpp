@@ -94,7 +94,6 @@ IlpLegalizer::IlpLegalizer(const db::Database& db, LegalizerOptions options)
 }
 
 std::vector<LegalizedCandidate> IlpLegalizer::generate(db::CellId cell) const {
-  obs::ObsContextScope obsScope(options_.obsContext);
   CRP_OBS_SPAN("gcp", "legalizer.window");
   CRP_OBS_COUNT("legalizer.windows", 1);
   std::vector<LegalizedCandidate> candidates;

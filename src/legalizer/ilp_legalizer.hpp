@@ -20,10 +20,6 @@
 #include "db/database.hpp"
 #include "ilp/solver.hpp"
 
-namespace crp::obs {
-class ObsContext;
-}
-
 namespace crp::legalizer {
 
 /// One legal placement proposal for a critical cell.
@@ -40,12 +36,6 @@ struct LegalizerOptions {
   int numRows = 5;         ///< N_row (paper value)
   int maxCellsPerIlp = 3;  ///< |cells| per ILP execution (paper value)
   int maxCandidates = 6;   ///< positions proposed per critical cell
-  /// Observability context generate() records into (ilp.* counters —
-  /// the ones RunReport fingerprints).  Null resolves ambiently (the
-  /// GCP pool workers inherit the framework's context through the
-  /// submit-time task wrapper), so only standalone multi-session users
-  /// need to set it.  Must outlive the legalizer when set.
-  obs::ObsContext* obsContext = nullptr;
 };
 
 class IlpLegalizer {

@@ -15,15 +15,14 @@ std::uint64_t nextContextId() {
 }
 
 // Submit-time hook: capture the submitter's ambient context and
-// re-install it (context + logger) around the task on the worker.
-// Tasks submitted outside any scope are passed through untouched —
-// the worker's own ambient resolution already lands on the default
-// context.
+// re-install it around the task on the worker.  Tasks submitted
+// outside any scope are passed through untouched — the worker's own
+// ambient resolution already lands on the default context.
 util::ThreadPool::Task wrapWithAmbientContext(util::ThreadPool::Task task) {
   ObsContext* context = detail::tlsCurrentContext;
   if (context == nullptr) return task;
   return [context, task = std::move(task)] {
-    ObsContextScope scope(context);
+    ObsContextScope scope(*context);
     task();
   };
 }
@@ -40,23 +39,12 @@ void detail::ensureTaskWrapperRegistered() {
   (void)registered;
 }
 
-ObsContext::ObsContext()
-    : ownedLogger_(std::make_unique<util::Logger>()),
-      logger_(ownedLogger_.get()) {
-  init();
-}
-
-ObsContext::ObsContext(DefaultTag) : logger_(&util::Logger::instance()) {
-  init();
-}
-
-void ObsContext::init() {
-  id_ = nextContextId();
+ObsContext::ObsContext() : id_(nextContextId()) {
   detail::ensureTaskWrapperRegistered();
 }
 
 ObsContext& ObsContext::defaultContext() {
-  static ObsContext context{DefaultTag{}};
+  static ObsContext context;
   return context;
 }
 

@@ -1,25 +1,23 @@
 // Per-session observability context.
 //
-// Through PR 7 every instrument lived in a process-wide singleton
-// (one metrics registry, tracer and flight recorder, plus the util
-// Logger).  That was fine for one CLI invocation, but two flows in one
+// An ObsContext bundles one metrics registry, one tracer and one flight
+// recorder into a unit a session owns outright, so two flows in one
 // process — `runEco` after `run`, or two `crp serve` sessions on the
-// shared worker pool — would interleave each other's counters, spans,
-// flight events, and log lines, and corrupt each other's
-// RunReport counter deltas.  ObsContext bundles one registry, one
-// tracer, one flight recorder, and one logger into a unit a session
-// owns outright.
+// shared worker pool — never interleave each other's counters, spans
+// or flight events, nor corrupt each other's RunReport counter deltas.
 //
-// Resolution is *ambient*: instrumented code never names a context.
-// The CRP_OBS_* macros (obs.hpp) resolve the innermost
-// ObsContextScope installed on the current thread, falling back to
-// the process-default context — so all pre-daemon code (CLI, tests,
-// benches) keeps its exact behavior with zero call-site changes.
+// Resolution is *ambient* and has one mechanism: instrumented code
+// never names a context.  The CRP_OBS_* macros (obs.hpp) resolve the
+// innermost ObsContextScope installed on the current thread, falling
+// back to the process-default context (CLI, tests, benches).
 // ThreadPool workers inherit the *submitter's* context: ObsContext
 // registers a ThreadPool task wrapper that captures the ambient
-// context at submit() time and re-installs it around the task, so a
+// context at submit time and re-installs it around the task, so a
 // session's parallelFor bodies record into the session's instruments
-// no matter which worker runs them.
+// no matter which worker runs them.  Installing a scope only stores a
+// pointer in a thread-local: a parallelFor helper that runs after its
+// loop returned (and its context may be gone) touches nothing through
+// it before finding the loop's cursor used up.
 //
 // Hot-path contract (benches): a disabled-context macro hit costs one
 // thread-local load plus one relaxed atomic load.  An enabled counter
@@ -32,28 +30,27 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+// Not used here: flowbench/src/eco_serve.cpp reaches <iostream>
+// through this include and does not include it itself.
 #include "util/logger.hpp"
 
 namespace crp::obs {
 
 class ObsContext {
  public:
-  /// A fresh context with its own registry, tracer, flight recorder,
-  /// and logger (starts disabled, like the process did before main).
+  /// A fresh context with its own registry, tracer and flight recorder
+  /// (starts disabled).
   ObsContext();
 
   ObsContext(const ObsContext&) = delete;
   ObsContext& operator=(const ObsContext&) = delete;
 
   /// The process-default context — what ambient resolution falls back
-  /// to outside any ObsContextScope.  Its logger *is*
-  /// util::Logger::instance(), so setSink() on that logger steers
-  /// default-context output.
+  /// to outside any ObsContextScope.
   static ObsContext& defaultContext();
 
   /// Monotonic, never reused, never 0 (0 is the site caches' "empty").
@@ -62,7 +59,6 @@ class ObsContext {
   MetricsRegistry& metrics() { return metrics_; }
   Tracer& tracer() { return tracer_; }
   FlightRecorder& flightRecorder() { return flightRecorder_; }
-  util::Logger& logger() { return *logger_; }
 
   /// Runtime instrument gate for flows under *this* context.
   bool enabled() const {
@@ -78,19 +74,11 @@ class ObsContext {
   void reset();
 
  private:
-  // Default context: aliases the process logger instead of owning one.
-  struct DefaultTag {};
-  explicit ObsContext(DefaultTag);
-
-  void init();
-
-  std::uint64_t id_ = 0;
+  const std::uint64_t id_;
   std::atomic<bool> enabled_{false};
   MetricsRegistry metrics_;
   Tracer tracer_;
   FlightRecorder flightRecorder_;
-  std::unique_ptr<util::Logger> ownedLogger_;
-  util::Logger* logger_ = nullptr;
 };
 
 namespace detail {
@@ -135,31 +123,19 @@ inline Tracer* enabledTracer() {
 }
 }  // namespace detail
 
-/// RAII ambient-context override for the current thread.  Also routes
-/// CRP_LOG_* to the context's logger (util::LoggerScope).  A null
-/// context makes the scope a no-op, so call sites can thread an
-/// optional context without branching.
+/// RAII ambient-context override for the current thread.
 class ObsContextScope {
  public:
-  explicit ObsContextScope(ObsContext* context)
-      : loggerScope_(context != nullptr ? &context->logger() : nullptr) {
-    if (context == nullptr) return;
-    previous_ = detail::tlsCurrentContext;
-    detail::tlsCurrentContext = context;
-    installed_ = true;
-  }
   explicit ObsContextScope(ObsContext& context)
-      : ObsContextScope(&context) {}
-  ~ObsContextScope() {
-    if (installed_) detail::tlsCurrentContext = previous_;
+      : previous_(detail::tlsCurrentContext) {
+    detail::tlsCurrentContext = &context;
   }
+  ~ObsContextScope() { detail::tlsCurrentContext = previous_; }
   ObsContextScope(const ObsContextScope&) = delete;
   ObsContextScope& operator=(const ObsContextScope&) = delete;
 
  private:
-  util::LoggerScope loggerScope_;
-  ObsContext* previous_ = nullptr;
-  bool installed_ = false;
+  ObsContext* previous_;
 };
 
 }  // namespace crp::obs

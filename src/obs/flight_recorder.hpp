@@ -8,9 +8,8 @@
 // or a minimized crp_fuzz seed dumps the recorder to a JSON artifact,
 // so the events leading up to the failure are diagnosable without a
 // rerun.  Appends go through the CRP_OBS_EVENT macro (obs.hpp), which
-// compiles away under CRP_OBS_DISABLED and otherwise costs one relaxed
-// load while observability is off — the same contract as every other
-// instrument.
+// costs one relaxed load while observability is off — the same
+// contract as every other instrument.
 //
 // Determinism note: event *sequence* is schedule-dependent when events
 // come from parallel reroute workers.  Dumps are diagnostic artifacts,

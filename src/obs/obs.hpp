@@ -1,20 +1,17 @@
-// Flow observability facade: ambient-context gate + no-op-able macros.
+// Flow observability facade: ambient-context gate + instrument macros.
 //
 // Instrumentation in hot paths (ILP solver, pricing, router) goes
-// through the CRP_OBS_* macros, which are
-//   * compile-time removable: building with -DCRP_OBS_DISABLED (CMake
-//     option CRP_OBS=OFF) expands every macro to nothing, and
-//   * runtime-gated: when compiled in, each macro first resolves the
-//     ambient ObsContext (one thread-local load) and checks its
-//     enabled flag (one relaxed atomic load), touching no instrument
-//     while observability is off.  This is the
-//     "zero-overhead-when-disabled" contract the benches rely on.
+// through the CRP_OBS_* macros, which are runtime-gated: each macro
+// first resolves the ambient ObsContext (one thread-local load) and
+// checks its enabled flag (one relaxed atomic load), touching no
+// instrument while observability is off.  This is the
+// "zero-overhead-when-disabled" contract the benches rely on.
 //
 // Instruments are *per-context* (see obs/context.hpp): outside any
-// ObsContextScope the macros hit the process-default context, which is
-// the exact pre-daemon behavior; inside a scope (a serve session, a
-// framework run with its own context) they hit that session's
-// registry/tracer/recorder, so concurrent flows never interleave.
+// ObsContextScope the macros hit the process-default context; inside a
+// scope (a serve session, a framework's entry points) they hit that
+// context's registry/tracer/recorder, so concurrent flows never
+// interleave.
 //
 // Enabling is opt-in: every context starts disabled; `crp run` and the
 // observability tests turn the ambient one on.  Counter macros cache
@@ -57,29 +54,6 @@ class EnabledScope {
 };
 
 }  // namespace crp::obs
-
-#if defined(CRP_OBS_DISABLED)
-
-#define CRP_OBS_SPAN(category, name) \
-  do {                               \
-  } while (0)
-#define CRP_OBS_SPAN_ARG(category, name, argValue) \
-  do {                                             \
-  } while (0)
-#define CRP_OBS_COUNT(counterName, delta) \
-  do {                                    \
-  } while (0)
-#define CRP_OBS_GAUGE_SET(gaugeName, value) \
-  do {                                      \
-  } while (0)
-#define CRP_OBS_HISTOGRAM(histName, value) \
-  do {                                     \
-  } while (0)
-#define CRP_OBS_EVENT(category, label, value) \
-  do {                                        \
-  } while (0)
-
-#else  // observability compiled in
 
 #define CRP_OBS_CONCAT_IMPL(a, b) a##b
 #define CRP_OBS_CONCAT(a, b) CRP_OBS_CONCAT_IMPL(a, b)
@@ -150,5 +124,3 @@ class EnabledScope {
                                          static_cast<std::int64_t>(value)); \
     }                                                                       \
   } while (0)
-
-#endif  // CRP_OBS_DISABLED

@@ -56,7 +56,6 @@ void ensureRouted(Session& session) {
   if (session.routed && session.router != nullptr) return;
   session.framework.reset();
   groute::GlobalRouterOptions routerOptions;
-  routerOptions.obsContext = &session.context;
   routerOptions.sharedPool = session.pool;
   session.router =
       std::make_unique<groute::GlobalRouter>(*session.db, routerOptions);
@@ -71,7 +70,6 @@ core::CrpOptions crpOptionsFromParams(Session& session,
   options.gamma = numberOr(params, "gamma", options.gamma);
   options.seed = static_cast<std::uint64_t>(numberOr(params, "seed", 1));
   options.snapshots = numberOr(params, "snapshots", 1) > 0;
-  options.obsContext = &session.context;
   options.sharedPool = session.pool;
   return options;
 }

@@ -2,11 +2,6 @@
 
 namespace crp::util {
 
-namespace {
-// Innermost LoggerScope's logger for this thread; null = process default.
-thread_local Logger* tlsCurrentLogger = nullptr;
-}  // namespace
-
 std::string_view logLevelTag(LogLevel level) {
   switch (level) {
     case LogLevel::kDebug:
@@ -28,11 +23,6 @@ Logger& Logger::instance() {
   return logger;
 }
 
-Logger& Logger::current() {
-  Logger* scoped = tlsCurrentLogger;
-  return scoped != nullptr ? *scoped : instance();
-}
-
 void Logger::setSink(std::shared_ptr<std::ostream> os) {
   std::lock_guard lock(mutex_);
   os_ = std::move(os);
@@ -47,17 +37,6 @@ void Logger::write(LogLevel level, std::string_view message) {
   std::lock_guard lock(mutex_);
   std::ostream& os = os_ != nullptr ? *os_ : std::clog;
   os << logLevelTag(level) << ' ' << message << '\n';
-}
-
-LoggerScope::LoggerScope(Logger* logger) {
-  if (logger == nullptr) return;
-  previous_ = tlsCurrentLogger;
-  tlsCurrentLogger = logger;
-  installed_ = true;
-}
-
-LoggerScope::~LoggerScope() {
-  if (installed_) tlsCurrentLogger = previous_;
 }
 
 }  // namespace crp::util

@@ -1,14 +1,12 @@
 // Lightweight leveled logger for the CR&P toolkit.
 //
-// Loggers are plain objects: the process keeps a default one
-// (Logger::instance()) and long-lived services create one per session
-// so concurrent flows never interleave their lines (the serve daemon's
-// ObsContext owns one per session; see obs/context.hpp).  Call sites
-// resolve the *ambient* logger — the innermost LoggerScope on this
-// thread, falling back to the process default — so library code never
-// names a session explicitly:
+// The process has one logger, Logger::instance(); the CRP_LOG_* macros
+// write to it:
 //
 //   CRP_LOG_INFO("routed {} nets, {} overflows", nNets, nOv);
+//
+// Each record is written under the logger's mutex, so lines from
+// concurrent flows never interleave mid-line.
 //
 // Formatting uses iostreams under the hood but the public interface is
 // printf-like via a tiny variadic formatter; placeholders are
@@ -52,13 +50,8 @@ class Logger {
   Logger(const Logger&) = delete;
   Logger& operator=(const Logger&) = delete;
 
-  /// The process-default logger (what CRP_LOG_* uses outside any
-  /// LoggerScope).
+  /// The process logger (what CRP_LOG_* writes to).
   static Logger& instance();
-
-  /// The ambient logger: the innermost LoggerScope's logger on this
-  /// thread, instance() otherwise.
-  static Logger& current();
 
   void setLevel(LogLevel level) {
     level_.store(static_cast<int>(level), std::memory_order_relaxed);
@@ -84,22 +77,6 @@ class Logger {
   std::atomic<int> level_{static_cast<int>(LogLevel::kInfo)};
   std::shared_ptr<std::ostream> os_;  ///< null = std::clog
   mutable std::mutex mutex_;
-};
-
-/// RAII ambient-logger override for the current thread (installed by
-/// obs::ObsContextScope so a session's log lines go to the session's
-/// sink).  Null logger = no-op scope.
-class LoggerScope {
- public:
-  explicit LoggerScope(Logger* logger);
-  explicit LoggerScope(Logger& logger) : LoggerScope(&logger) {}
-  ~LoggerScope();
-  LoggerScope(const LoggerScope&) = delete;
-  LoggerScope& operator=(const LoggerScope&) = delete;
-
- private:
-  Logger* previous_ = nullptr;
-  bool installed_ = false;
 };
 
 namespace detail {
@@ -135,7 +112,7 @@ std::string formatMessage(std::string_view fmt, Args&&... args) {
 
 template <typename... Args>
 void log(LogLevel level, std::string_view fmt, Args&&... args) {
-  Logger& logger = Logger::current();
+  Logger& logger = Logger::instance();
   if (!logger.enabled(level)) return;
   logger.write(level, formatMessage(fmt, std::forward<Args>(args)...));
 }

@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <memory>
 #include <utility>
 
@@ -34,16 +35,6 @@ void ThreadPool::submit(Task task) {
     tasks_.push(std::move(task));
   }
   taskReady_.notify_one();
-}
-
-void ThreadPool::waitIdle() {
-  std::exception_ptr error;
-  {
-    std::unique_lock lock(mutex_);
-    idle_.wait(lock, [this] { return tasks_.empty() && active_ == 0; });
-    error = std::exchange(submitError_, nullptr);
-  }
-  if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::parallelFor(std::size_t n,
@@ -124,20 +115,8 @@ void ThreadPool::workerLoop() {
       if (stop_ && tasks_.empty()) return;
       task = std::move(tasks_.front());
       tasks_.pop();
-      ++active_;
     }
-    std::exception_ptr error;
-    try {
-      task();
-    } catch (...) {
-      error = std::current_exception();
-    }
-    {
-      std::lock_guard lock(mutex_);
-      if (error && !submitError_) submitError_ = error;
-      --active_;
-      if (tasks_.empty() && active_ == 0) idle_.notify_all();
-    }
+    task();
   }
 }
 

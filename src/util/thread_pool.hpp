@@ -25,15 +25,13 @@
 //     queued tasks (it waits on per-call state, not pool-wide
 //     idleness).
 //
-// Exceptions thrown by a task are captured and rethrown on the calling
-// thread: parallelFor rethrows the first exception its body threw;
-// waitIdle rethrows the first exception of a plain submit() task.
+// parallelFor rethrows the first exception its body threw on the
+// calling thread.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -46,7 +44,7 @@ class ThreadPool {
  public:
   using Task = std::function<void()>;
 
-  /// Process-wide hook applied to every task at submit() time, so an
+  /// Process-wide hook applied to every task at submit time, so an
   /// upper layer can capture the submitter's thread-ambient state and
   /// re-install it on the worker (obs::ObsContext registers one that
   /// propagates the current observability context; see
@@ -70,16 +68,6 @@ class ThreadPool {
 
   std::size_t threadCount() const { return workers_.size(); }
 
-  /// Enqueues a task for asynchronous execution.  If the task throws,
-  /// the first such exception is rethrown by the next waitIdle().
-  void submit(Task task);
-
-  /// Blocks until all submitted tasks have finished, then rethrows the
-  /// first exception any of them threw (if any).  Do not call from
-  /// inside a pool task (it would wait on itself); parallelFor does
-  /// not use it and is safe to nest.
-  void waitIdle();
-
   /// Runs body(i) for i in [0, n); blocks until complete.  Indices are
   /// handed out in contiguous grains through a shared atomic cursor
   /// (dynamic load balancing); the calling thread drains grains too.
@@ -89,6 +77,9 @@ class ThreadPool {
   void parallelFor(std::size_t n, const std::function<void(std::size_t)>& body);
 
  private:
+  /// Enqueues a task (wrapped by taskWrapper()) for a worker.  Tasks
+  /// must not throw: parallelFor's helpers catch their body's errors.
+  void submit(Task task);
   void workerLoop();
 
   inline static std::atomic<TaskWrapper> taskWrapper_{nullptr};
@@ -97,10 +88,7 @@ class ThreadPool {
   std::queue<Task> tasks_;
   std::mutex mutex_;
   std::condition_variable taskReady_;
-  std::condition_variable idle_;
-  std::size_t active_ = 0;
   bool stop_ = false;
-  std::exception_ptr submitError_;  ///< first failure of a submit() task
 };
 
 }  // namespace crp::util

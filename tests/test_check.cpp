@@ -467,7 +467,6 @@ TEST(FuzzSpec, ReplayCommandCarriesScenarioAxes) {
 
 // ---- audit-triggered flight-recorder dumps ----------------------------------
 
-#ifndef CRP_OBS_DISABLED
 // The whole diagnostic loop: run a spatially-instrumented flow (fills
 // the event ring and the latest heatmap), inject the off-site-cell
 // corruption from the mutation tests above, and let the dirty audit
@@ -559,7 +558,6 @@ TEST(FlightDump, AuditReportJsonMirrorsFailures) {
   EXPECT_EQ(failures[0].at("expected").asString(), "2");
   EXPECT_EQ(failures[0].at("actual").asString(), "3");
 }
-#endif  // CRP_OBS_DISABLED
 
 TEST(FuzzCampaignTest, SingleSeedPassesAllLegs) {
   check::FuzzOptions options;

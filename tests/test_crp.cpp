@@ -559,7 +559,6 @@ TEST(Framework, MoveBudgetCarriesOverAcrossIterations) {
 
 // ---- spatial observability tier ---------------------------------------------
 
-#ifndef CRP_OBS_DISABLED
 TEST(FrameworkSpatial, SnapshotsBracketEveryIteration) {
   obs::EnabledScope enabled(true);
   obs::currentContext().reset();
@@ -637,7 +636,6 @@ TEST(FrameworkSpatial, SnapshotsOffLeavesReportAndRecorderUntouched) {
   EXPECT_EQ(framework.runReport().toJson().find("timeline"), nullptr);
   obs::currentContext().reset();
 }
-#endif  // CRP_OBS_DISABLED
 
 TEST(Framework, ZeroMoveBudgetFreezesPlacement) {
   Fixture f;

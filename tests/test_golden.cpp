@@ -145,10 +145,6 @@ void checkScenarioGolden(const bmgen::BenchmarkSpec& spec,
 }
 
 TEST(Golden, CrpFlowFingerprintMatchesGolden) {
-#ifdef CRP_OBS_DISABLED
-  GTEST_SKIP() << "golden fingerprints need the observability counters "
-                  "(-DCRP_OBS=ON)";
-#endif
   const obs::Json single = runFingerprint(goldenSpec(), 1);
   const obs::Json parallel = runFingerprint(goldenSpec(), 8);
   // Thread-count independence first: a scheduling leak would otherwise
@@ -184,10 +180,6 @@ TEST(Golden, CrpFlowFingerprintMatchesGolden) {
 // moves — is bit-identical at 1 vs 8 router threads, and both match
 // the checked-in golden.
 TEST(Golden, RouterThreadCountIndependence) {
-#ifdef CRP_OBS_DISABLED
-  GTEST_SKIP() << "golden fingerprints need the observability counters "
-                  "(-DCRP_OBS=ON)";
-#endif
   std::uint64_t serialState = 0;
   std::uint64_t parallelState = 0;
   const obs::Json serial =
@@ -222,18 +214,10 @@ TEST(Golden, RouterThreadCountIndependence) {
 // asserted before any golden comparison — exactly the protocol of the
 // base golden, extended along the workload axes of docs/scenarios.md.
 TEST(Golden, MacroHeavyFlowMatchesGoldenAndIsThreadIndependent) {
-#ifdef CRP_OBS_DISABLED
-  GTEST_SKIP() << "golden fingerprints need the observability counters "
-                  "(-DCRP_OBS=ON)";
-#endif
   checkScenarioGolden(macroSpec(), "crp_macro_fingerprint.json");
 }
 
 TEST(Golden, MixedHeightFlowMatchesGoldenAndIsThreadIndependent) {
-#ifdef CRP_OBS_DISABLED
-  GTEST_SKIP() << "golden fingerprints need the observability counters "
-                  "(-DCRP_OBS=ON)";
-#endif
   checkScenarioGolden(multiRowSpec(), "crp_multirow_fingerprint.json");
 }
 
@@ -245,10 +229,6 @@ TEST(Golden, MixedHeightFlowMatchesGoldenAndIsThreadIndependent) {
 // covered above; this test proves turning snapshots ON adds no
 // schedule dependence.
 TEST(Golden, SpatialSnapshotsAreRouterThreadIndependent) {
-#ifdef CRP_OBS_DISABLED
-  GTEST_SKIP() << "spatial snapshots need the observability tier "
-                  "(-DCRP_OBS=ON)";
-#else
   struct SpatialRun {
     std::string heatmaps;
     obs::Json fingerprint;
@@ -294,7 +274,6 @@ TEST(Golden, SpatialSnapshotsAreRouterThreadIndependent) {
     // differ from the timeline-free golden — additive, not silent.
     EXPECT_NE(serial.fingerprint.find("timeline"), nullptr);
   }
-#endif
 }
 
 }  // namespace

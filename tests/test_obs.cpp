@@ -6,9 +6,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -266,7 +269,6 @@ TEST(Tracer, ClearDropsRecords) {
 
 // ---- macros / runtime switch ----------------------------------------------
 
-#ifndef CRP_OBS_DISABLED
 TEST(ObsMacros, DisabledFlagSuppressesRecording) {
   currentContext().reset();
   EnabledScope scope(false);
@@ -306,7 +308,6 @@ TEST(ObsMacros, ConcurrentMacroCountsAreExact) {
             static_cast<std::uint64_t>(kTasks));
   currentContext().reset();
 }
-#endif  // CRP_OBS_DISABLED
 
 // ---- per-session contexts --------------------------------------------------
 
@@ -335,13 +336,6 @@ TEST(ObsContext, AmbientResolutionFallsBackToDefault) {
   EXPECT_EQ(&currentContext(), &ObsContext::defaultContext());
 }
 
-TEST(ObsContext, NullScopeIsANoOp) {
-  ObsContext session;
-  ObsContextScope outer(session);
-  ObsContextScope noop(static_cast<ObsContext*>(nullptr));
-  EXPECT_EQ(&currentContext(), &session);
-}
-
 TEST(ObsContext, ResetIsScopedToOneContext) {
   ObsContext a;
   ObsContext b;
@@ -352,7 +346,6 @@ TEST(ObsContext, ResetIsScopedToOneContext) {
   EXPECT_EQ(b.metrics().counter("ctx.reset")->value(), 5u);
 }
 
-#ifndef CRP_OBS_DISABLED
 TEST(ObsContext, MacrosRecordIntoTheAmbientContext) {
   ObsContext a;
   ObsContext b;
@@ -404,6 +397,53 @@ TEST(ObsContext, PoolWorkersInheritTheSubmittersContext) {
   EXPECT_TRUE(it == defaults.counters.end() || it->second == 0);
 }
 
+// A parallelFor helper can still wait in the pool's queue when its
+// caller returns; the worker then re-installs the caller's context
+// after that context is gone.  The scope must not read through it (an
+// ASan build reports any access), and the stale helper must find its
+// loop's cursor used up and leave without running the body.
+TEST(ObsContext, QueuedHelperOutlivesItsContext) {
+  auto pool = std::make_unique<util::ThreadPool>(1);
+  std::atomic<bool> workerBusy{false};
+  std::atomic<bool> release{false};
+
+  // Keeps the only worker inside another caller's loop until released.
+  std::thread blocker([&] {
+    const std::thread::id caller = std::this_thread::get_id();
+    pool->parallelFor(64, [&](std::size_t) {
+      if (std::this_thread::get_id() != caller) {
+        workerBusy.store(true);
+        while (!release.load()) std::this_thread::yield();
+        return;
+      }
+      // The caller's own indices: slow until the worker holds a grain.
+      do {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      } while (!workerBusy.load());
+    });
+  });
+  while (!workerBusy.load()) std::this_thread::yield();
+
+  std::atomic<int> ran{0};
+  std::thread session([&] {
+    auto context = std::make_unique<ObsContext>();
+    {
+      ObsContextScope scope(*context);
+      // Its one helper queues behind the busy worker; the caller
+      // drains every index alone.
+      pool->parallelFor(64, [&](std::size_t) { ran.fetch_add(1); });
+    }
+    context.reset();
+  });
+  session.join();
+  EXPECT_EQ(ran.load(), 64);
+
+  release.store(true);
+  blocker.join();
+  pool.reset();  // the worker runs the stale helper before it exits
+  EXPECT_EQ(ran.load(), 64);
+}
+
 TEST(ObsContext, ConcurrentScopedCountsStayIsolated) {
   ObsContext a;
   ObsContext b;
@@ -425,7 +465,6 @@ TEST(ObsContext, ConcurrentScopedCountsStayIsolated) {
   EXPECT_EQ(b.metrics().counter("ctx.race")->value(),
             static_cast<std::uint64_t>(kPerThread));
 }
-#endif  // CRP_OBS_DISABLED
 
 // ---- RunReport schema ------------------------------------------------------
 
@@ -788,7 +827,6 @@ TEST(FlightRecorder, ConcurrentAppendsStayBoundedAndWellFormed) {
   }
 }
 
-#ifndef CRP_OBS_DISABLED
 TEST(FlightRecorder, EventMacroHonoursRuntimeGate) {
   currentContext().reset();
   {
@@ -804,7 +842,6 @@ TEST(FlightRecorder, EventMacroHonoursRuntimeGate) {
   }
   currentContext().reset();
 }
-#endif  // CRP_OBS_DISABLED
 
 // ---- flow timeline ---------------------------------------------------------
 
@@ -891,9 +928,9 @@ TEST(RunReportSchema, TimelineIsOptionalAndRoundTrips) {
   groute::GlobalRouter router(db);
   router.run();
   ObsContext context;  // starts disabled
+  ObsContextScope scope(context);
   core::CrpOptions options;
   options.snapshots = true;
-  options.obsContext = &context;
   core::CrpFramework framework(db, router, options);
   framework.runIteration();
   context.setEnabled(true);

@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -171,10 +172,6 @@ TEST(ServeSession, BmgenThenRunStreamsOneEventPerIteration) {
 /// A resident session must not accumulate spans job over job: after
 /// each job the tracer holds only that job's spans.
 TEST(ServeSession, TracerDoesNotGrowWithJobs) {
-#ifdef CRP_OBS_DISABLED
-  GTEST_SKIP() << "spans need the observability instrumentation "
-                  "(-DCRP_OBS=ON)";
-#endif
   util::ThreadPool pool(2);
   SessionManager manager;
   auto session = manager.open("t", pool);
@@ -244,6 +241,13 @@ TEST(ServeSession, InterleavedSessionsMatchSerialFingerprints) {
     EXPECT_NE(session, nullptr);
     runBmgenJob(*session, bmgenParams(cells, seed));
     const obs::Json result = runRunJob(*session, runParams(2), {});
+    // The run's ILP counters land in the session's own registry, so
+    // the fingerprint compared below carries them.
+    const std::int64_t solves =
+        result.at("fingerprint").at("ilpSolves").asInt();
+    EXPECT_GT(solves, 0);
+    EXPECT_EQ(session->context.metrics().counter("ilp.solves")->value(),
+              static_cast<std::uint64_t>(solves));
     return result.at("fingerprint").dump();
   };
 

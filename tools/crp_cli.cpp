@@ -66,9 +66,11 @@
 //       SIGINT or a client shutdown op.  --ledger appends one run-
 //       ledger entry per completed run/eco job.
 //
-// A flag the subcommand does not read, one given without a value, or
-// a numeric flag whose value is not a number is an error: crp exits 2
-// naming it, before reading any input.
+// A flag the subcommand does not read, one given without a value, a
+// numeric flag whose value is not a number, or a thread count
+// (--threads, --router-threads, --workers) that is not a whole number
+// >= 0 fitting an int is an error: crp exits 2 naming it, before
+// reading any input.
 #include <algorithm>
 #include <charconv>
 #include <cmath>
@@ -76,6 +78,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -143,6 +146,12 @@ struct Args {
     return value;
   }
 
+  /// Flags that size a thread pool: whole numbers >= 0 that fit an int
+  /// (0 = hardware concurrency).
+  static bool isThreadCount(const std::string& key) {
+    return key == "threads" || key == "router-threads" || key == "workers";
+  }
+
   /// Value of a numeric flag (checked by badFlag before the command
   /// runs), or `fallback` when the flag is absent.
   double number(const std::string& key, double fallback) const {
@@ -151,10 +160,12 @@ struct Args {
   }
 
   /// Describes the first flag outside `numbers` + `texts`, one left
-  /// without a value, or a `numbers` flag whose value is not a number;
+  /// without a value, a `numbers` flag whose value is not a number, or
+  /// a thread count that is not a whole number >= 0 fitting an int;
   /// empty when every flag is good.  A flag the command does not read
   /// would otherwise be dropped silently, a misspelt one would run the
-  /// defaults, and a non-numeric value would run as 0.
+  /// defaults, a non-numeric value would run as 0, and a thread count
+  /// of -1 or 2.5 would be cast to a huge or truncated pool size.
   std::string badFlag(const std::vector<std::string>& numbers,
                       const std::vector<std::string>& texts) const {
     auto listed = [](const std::vector<std::string>& list,
@@ -170,8 +181,13 @@ struct Args {
       if (token.rfind("--", 0) == 0) return "flag " + token + " needs a value";
     }
     for (const auto& [key, value] : flags) {
-      if (listed(numbers, key) && !parseNumber(value)) {
-        return "flag --" + key + " needs a number";
+      if (!listed(numbers, key)) continue;
+      const std::optional<double> number = parseNumber(value);
+      if (!number) return "flag --" + key + " needs a number";
+      if (isThreadCount(key) &&
+          (*number < 0 || *number != std::floor(*number) ||
+           *number > std::numeric_limits<int>::max())) {
+        return "flag --" + key + " needs a whole number >= 0";
       }
     }
     return {};
