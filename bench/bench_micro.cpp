@@ -197,8 +197,9 @@ void BM_EccPriceCandidates(benchmark::State& state) {
   obs::PricingStats stats;
   for (auto _ : state) {
     stats = obs::PricingStats{};
+    core::PricingCache cache;  // fresh per iteration: no cross-run reuse
     core::priceCandidates(fixture().db, f.router, f.candidates, nullptr,
-                          core::PricingOptions{}, &stats);
+                          cache, &stats);
     benchmark::DoNotOptimize(f.candidates);
   }
   state.counters["nets_priced"] =

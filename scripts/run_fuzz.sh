@@ -19,8 +19,9 @@
 #      (CRP_SANITIZE=address), so memory errors on the audited paths
 #      surface even when every invariant holds, plus the ObsContext and
 #      ThreadPool tests in the same tree (a pool helper that outlives
-#      its caller's context, the context-scope nesting).  Skip with
-#      CRP_SKIP_ASAN=1.
+#      its caller's context, the context-scope nesting) and every
+#      LEF/DEF/guide parser and file-reading test (the tokenizer views
+#      its caller's buffer).  Skip with CRP_SKIP_ASAN=1.
 #   4. ThreadPool + pricing + observability + parallel-reroute + serve
 #      tests under ThreadSanitizer (CRP_SANITIZE=thread, separate
 #      build tree), guarding the sharded cache, the dynamic parallelFor
@@ -60,10 +61,14 @@ if [[ "${CRP_SKIP_ASAN:-0}" != "1" ]]; then
   cmake -B "$ASAN_BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCRP_SANITIZE=address
   cmake --build "$ASAN_BUILD" -j "$(nproc)" \
-    --target crp_fuzz test_obs test_util
+    --target crp_fuzz test_obs test_util test_lefdef
   "$ASAN_BUILD"/tools/crp_fuzz --seeds 6 --seed-start "$SEED_START" --k 1 \
     --artifacts fuzz-artifacts-asan
   ctest --test-dir "$ASAN_BUILD" --output-on-failure -R 'ObsContext|ThreadPool'
+  # Anchored: the unanchored names would also pick Cli.* tests whose
+  # crp binary this tree does not build.
+  ctest --test-dir "$ASAN_BUILD" --output-on-failure \
+    -R 'FileIo|^(Tokenizer|Lef|Def|Guide|FileReaders|FileWriters|Cases/Malformed)'
 fi
 
 if [[ "${CRP_SKIP_TSAN:-0}" != "1" ]]; then

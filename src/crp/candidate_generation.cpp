@@ -96,16 +96,12 @@ struct NetTemplate {
 class CandidatePricer {
  public:
   CandidatePricer(const db::Database& db, const groute::GlobalRouter& router,
-                  const PricingOptions& options)
+                  PricingCache& cache)
       : db_(db),
         graph_(router.graph()),
         pattern_(router.graph()),
-        ownedCache_(options.sharedCache != nullptr
-                        ? nullptr
-                        : std::make_unique<PricingCache>()),
-        cache_(options.sharedCache != nullptr ? options.sharedCache
-                                              : ownedCache_.get()),
-        startStats_(cache_->stats()) {
+        cache_(cache),
+        startStats_(cache.stats()) {
     // Distinguishes this phase's entries in the per-thread baseline
     // tables (scratch outlives the pricer); 0 stays "never valid".
     static std::atomic<std::uint32_t> phaseCounter{0};
@@ -147,10 +143,10 @@ class CandidatePricer {
     for (std::size_t j = 0; j < numBase; ++j) {
       const db::NetId net = baseNets[j];
       if (ts.baseEpoch[net] == epoch_) {
-        cache_->countDeltaSkip();
+        cache_.countDeltaSkip();
       } else {
         ts.basePriceTable[net] =
-            cache_->price(templates_[net].canonical, pattern_, ts.pattern);
+            cache_.price(templates_[net].canonical, pattern_, ts.pattern);
         ts.baseEpoch[net] = epoch_;
       }
       ts.basePrices.push_back(ts.basePriceTable[net]);
@@ -196,7 +192,7 @@ class CandidatePricer {
       for (std::size_t j = 0; j < numBase; ++j) {
         const NetTemplate& tpl = templates_[baseNets[j]];
         if (!computeMovedPins(tpl, ts.overrides, ts, cc.cell)) {
-          cache_->countDeltaSkip();
+          cache_.countDeltaSkip();
           cost += ts.basePrices[j];
           continue;
         }
@@ -208,12 +204,12 @@ class CandidatePricer {
             memo.entries.begin(), used,
             [&](const auto& entry) { return entry.first == ts.movedPins; });
         if (hit != used) {
-          cache_->countDeltaSkip();
+          cache_.countDeltaSkip();
           cost += hit->second;
           continue;
         }
         buildTerminals(tpl, ts);
-        const double price = cache_->price(ts.terminals, pattern_, ts.pattern);
+        const double price = cache_.price(ts.terminals, pattern_, ts.pattern);
         if (memo.used == memo.entries.size()) memo.entries.emplace_back();
         memo.entries[memo.used].first.assign(ts.movedPins.begin(),
                                              ts.movedPins.end());
@@ -239,17 +235,16 @@ class CandidatePricer {
       for (const db::NetId n : ts.extraNets) {
         computeMovedPins(templates_[n], ts.overrides, ts, cc.cell);
         buildTerminals(templates_[n], ts);
-        cost += cache_->price(ts.terminals, pattern_, ts.pattern);
+        cost += cache_.price(ts.terminals, pattern_, ts.pattern);
       }
       candidate.routeCost = cost;
     }
   }
 
   /// This phase's counters: deltas against the cache state at pricer
-  /// construction, so a shared (ECO-persistent) cache reports per-phase
-  /// numbers just like a phase-local one.
+  /// construction, since the cache outlives the phase.
   obs::PricingStats stats() const {
-    const obs::PricingStats now = cache_->stats();
+    const obs::PricingStats now = cache_.stats();
     obs::PricingStats phase;
     phase.cacheHits = now.cacheHits - startStats_.cacheHits;
     phase.cacheMisses = now.cacheMisses - startStats_.cacheMisses;
@@ -333,10 +328,7 @@ class CandidatePricer {
   const db::Database& db_;
   const groute::RoutingGraph& graph_;
   const groute::PatternRouter pattern_;
-  /// Phase-local store, used unless PricingOptions::sharedCache redirects
-  /// cache_ to a caller-owned, longer-lived cache.
-  std::unique_ptr<PricingCache> ownedCache_;
-  PricingCache* cache_;
+  PricingCache& cache_;
   obs::PricingStats startStats_;
   std::vector<NetTemplate> templates_;
   std::uint32_t epoch_ = 0;  ///< tags per-thread baseline-table entries
@@ -421,7 +413,7 @@ std::vector<CellCandidates> buildCandidates(
     current.position = db.cell(cell).pos;
     current.isCurrent = true;
     out.candidates.push_back(current);
-    for (const auto& legal : legalizer.generate(cell)) {
+    for (const auto& legal : legalizer.generate(cell, &out.ilp)) {
       // Never displace another critical cell: the selection model
       // treats critical assignments as independent one-hots.
       bool displacesCritical = false;
@@ -449,10 +441,9 @@ std::vector<CellCandidates> buildCandidates(
 void priceCandidates(const db::Database& db,
                      const groute::GlobalRouter& router,
                      std::vector<CellCandidates>& candidates,
-                     util::ThreadPool* pool,
-                     const PricingOptions& pricing,
+                     util::ThreadPool* pool, PricingCache& cache,
                      obs::PricingStats* stats) {
-  CandidatePricer pricer(db, router, pricing);
+  CandidatePricer pricer(db, router, cache);
   auto priceFor = [&](std::size_t i) {
     static thread_local PricerScratch scratch;
     pricer.priceCell(candidates[i], scratch);
@@ -469,9 +460,9 @@ std::vector<CellCandidates> generateCandidates(
     const db::Database& db, const groute::GlobalRouter& router,
     const legalizer::IlpLegalizer& legalizer,
     const std::vector<db::CellId>& criticalSet, util::ThreadPool* pool,
-    const PricingOptions& pricing, obs::PricingStats* stats) {
+    PricingCache& cache, obs::PricingStats* stats) {
   auto result = buildCandidates(db, legalizer, criticalSet, pool);
-  priceCandidates(db, router, result, pool, pricing, stats);
+  priceCandidates(db, router, result, pool, cache, stats);
   return result;
 }
 

@@ -44,20 +44,7 @@ struct Candidate {
 struct CellCandidates {
   db::CellId cell = db::kInvalidId;
   std::vector<Candidate> candidates;
-};
-
-/// Caller hooks of the incremental pricing engine (the engine itself
-/// has no switches).
-struct PricingOptions {
-  /// When non-null, the pricer memoizes into this caller-owned cache
-  /// instead of a phase-local one, so entries survive the phase.  The
-  /// caller owns coherence: it must evict (invalidateRegions) every
-  /// entry whose terminal bbox saw a demand change before the next
-  /// phase prices against it.  This is how the ECO engine reuses
-  /// pricing work across its restricted iterations (docs/eco.md).
-  /// Reported stats stay per-phase
-  /// (deltas against the cache's counters at pricer construction).
-  PricingCache* sharedCache = nullptr;
+  ilp::SolveTotals ilp;  ///< effort of the legalizer ILPs behind them
 };
 
 /// Pin terminals of `net` with some cells hypothetically relocated.
@@ -95,13 +82,17 @@ std::vector<CellCandidates> buildCandidates(
     const std::vector<db::CellId>& criticalSet, util::ThreadPool* pool);
 
 /// Alg. 3 (ECC phase): prices every candidate in place through the
-/// incremental engine.  `stats`, when given, receives the phase's
-/// cache/delta counters.
+/// incremental engine, memoizing into `cache`.  Entries outlive the
+/// phase, so the caller owns coherence: it must evict
+/// (invalidateRegions) every entry whose terminal bbox saw a demand
+/// change before the next phase prices against the cache
+/// (docs/eco.md).  `stats`, when given, receives the phase's
+/// cache/delta counters (deltas against the cache's counters at the
+/// start of the phase).
 void priceCandidates(const db::Database& db,
                      const groute::GlobalRouter& router,
                      std::vector<CellCandidates>& candidates,
-                     util::ThreadPool* pool,
-                     const PricingOptions& pricing,
+                     util::ThreadPool* pool, PricingCache& cache,
                      obs::PricingStats* stats = nullptr);
 
 /// Convenience: buildCandidates + priceCandidates.
@@ -109,6 +100,6 @@ std::vector<CellCandidates> generateCandidates(
     const db::Database& db, const groute::GlobalRouter& router,
     const legalizer::IlpLegalizer& legalizer,
     const std::vector<db::CellId>& criticalSet, util::ThreadPool* pool,
-    const PricingOptions& pricing = {}, obs::PricingStats* stats = nullptr);
+    PricingCache& cache, obs::PricingStats* stats = nullptr);
 
 }  // namespace crp::core

@@ -248,6 +248,7 @@ obs::TimelineRecord CrpFramework::runIteration() {
   }
   for (const CellCandidates& cc : candidates) {
     record.candidatesGenerated += static_cast<int>(cc.candidates.size());
+    ilpTotals_ += cc.ilp;  // per-cell sums, after the parallel loop
   }
   maybeAudit(kPhaseGcp, /*iterationEnd=*/false);
   obs::PricingStats eccStats;
@@ -255,13 +256,11 @@ obs::TimelineRecord CrpFramework::runIteration() {
     CRP_OBS_SPAN("crp", "phase.ECC");
     CRP_OBS_EVENT("crp", "phase.ECC", iterIndex);
     util::Stopwatch watch;
-    PricingOptions pricing;
     // All iterations price through the persistent cache so clean-region
     // entries survive from one iteration (and run()/runEco call) to the
     // next; the UD hook below evicts the dirty ones before demand
     // changes.
-    pricing.sharedCache = &ecoCache_;
-    priceCandidates(db_, router_, candidates, pool_, pricing, &eccStats);
+    priceCandidates(db_, router_, candidates, pool_, ecoCache_, &eccStats);
     chargePhase(kPhaseEcc, watch.seconds());
     // One aggregate publish per ECC phase (the pricing hot path keeps
     // its own atomics in PricingCache; see obs.hpp on hot-path policy).
@@ -282,6 +281,7 @@ obs::TimelineRecord CrpFramework::runIteration() {
     CRP_OBS_EVENT("crp", "phase.SEL", iterIndex);
     util::Stopwatch watch;
     selection = selectCandidates(db_, candidates);
+    ilpTotals_ += selection.ilp;
     chargePhase(kPhaseSel, watch.seconds());
   }
   maybeAudit(kPhaseSel, /*iterationEnd=*/false);
@@ -623,24 +623,12 @@ const obs::RunReport& CrpFramework::runReport() {
   runReport_.router.openNets = stats.openNets;
   runReport_.router.reroutedNets = stats.reroutedNets;
 
-  // Deltas against the construction-time snapshot of *this* context's
-  // registry: concurrent sessions can no longer perturb each other's
-  // ILP counters (the fingerprint-isolation property test_serve
-  // asserts).
+  runReport_.ilp = {ilpTotals_.solves, ilpTotals_.nodes, ilpTotals_.lpCalls,
+                    ilpTotals_.lpPivots};
+  // Telemetry only: deltas against the construction-time snapshot of
+  // *this* context's registry.
   const obs::MetricsSnapshot now = obsCtx_.metrics().snapshot();
-  const obs::MetricsSnapshot delta = now.deltaSince(baseline_);
-  runReport_.counters = delta.counters;
-  runReport_.ilp.solves = delta.counters.count("ilp.solves")
-                              ? delta.counters.at("ilp.solves")
-                              : 0;
-  runReport_.ilp.nodes =
-      delta.counters.count("ilp.nodes") ? delta.counters.at("ilp.nodes") : 0;
-  runReport_.ilp.lpCalls = delta.counters.count("ilp.lp_calls")
-                               ? delta.counters.at("ilp.lp_calls")
-                               : 0;
-  runReport_.ilp.lpPivots = delta.counters.count("ilp.pivots")
-                                ? delta.counters.at("ilp.pivots")
-                                : 0;
+  runReport_.counters = now.deltaSince(baseline_).counters;
   return runReport_;
 }
 

@@ -229,6 +229,7 @@ class CrpFramework {
   std::function<void(const obs::TimelineRecord&)> iterationCallback_;
   obs::RunReport runReport_;
   obs::MetricsSnapshot baseline_;  ///< context registry at construction
+  ilp::SolveTotals ilpTotals_;     ///< GCP + SEL solves (RunReport::ilp)
   obs::HeatmapSeries heatmaps_;    ///< spatial tier (options.snapshots)
   std::unordered_set<db::CellId> criticalHistory_;  ///< db.critical_hist
   std::unordered_set<db::CellId> moved_;            ///< db.moved_set

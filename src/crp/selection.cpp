@@ -238,6 +238,7 @@ SelectionResult selectCandidates(const db::Database& db,
     ilp::IlpOptions ilpOptions;
     ilpOptions.maxNodes = options.maxIlpNodes;
     const ilp::IlpResult solution = ilp::solveIlp(model, ilpOptions);
+    result.ilp.add(solution);
     ++result.ilpComponents;
     if (solution.status == ilp::IlpStatus::kOptimal ||
         solution.status == ilp::IlpStatus::kFeasible) {

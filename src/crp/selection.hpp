@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "crp/candidate_generation.hpp"
+#include "ilp/solver.hpp"
 
 namespace crp::core {
 
@@ -23,6 +24,7 @@ struct SelectionResult {
   int ilpComponents = 0;     ///< components solved exactly by B&B
   int greedyComponents = 0;  ///< oversized components solved greedily
   int conflictPairs = 0;
+  ilp::SolveTotals ilp;  ///< effort of the component ILPs
 };
 
 struct SelectionOptions {

@@ -7,6 +7,7 @@
 // round-and-repair incumbent heuristic at the root.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "ilp/model.hpp"
@@ -28,6 +29,30 @@ struct IlpResult {
   int nodesExplored = 0;
   int lpCalls = 0;   ///< LP relaxations solved across all nodes
   int lpPivots = 0;  ///< simplex pivots summed over those LPs
+};
+
+/// Effort summed over a set of solves, from their IlpResults (the
+/// RunReport's ILP totals; independent of the metrics registry, so the
+/// runtime obs gate cannot change them).
+struct SolveTotals {
+  std::uint64_t solves = 0;
+  std::uint64_t nodes = 0;
+  std::uint64_t lpCalls = 0;
+  std::uint64_t lpPivots = 0;
+
+  void add(const IlpResult& result) {
+    ++solves;
+    nodes += static_cast<std::uint64_t>(result.nodesExplored);
+    lpCalls += static_cast<std::uint64_t>(result.lpCalls);
+    lpPivots += static_cast<std::uint64_t>(result.lpPivots);
+  }
+  SolveTotals& operator+=(const SolveTotals& other) {
+    solves += other.solves;
+    nodes += other.nodes;
+    lpCalls += other.lpCalls;
+    lpPivots += other.lpPivots;
+    return *this;
+  }
 };
 
 struct IlpOptions {

@@ -1,10 +1,9 @@
 #include "lefdef/def_parser.hpp"
 
-#include <fstream>
-#include <sstream>
 #include <unordered_map>
 
 #include "lefdef/tokenizer.hpp"
+#include "util/file_io.hpp"
 
 namespace crp::lefdef {
 
@@ -73,6 +72,18 @@ class DefParser {
   }
 
  private:
+  /// Item loop of a counted section: true, consuming "-", before each
+  /// item; false, consuming "END <section>", after the last one.
+  bool nextItem(const char* section) {
+    if (tok_.atEnd()) return false;
+    if (tok_.accept("END")) {
+      tok_.expect(section);
+      return false;
+    }
+    tok_.expect("-");
+    return true;
+  }
+
   Point nextPoint() {
     tok_.expect("(");
     const Coord x = tok_.nextInt();
@@ -143,12 +154,7 @@ class DefParser {
   void parseComponents() {
     tok_.nextInt();
     tok_.expect(";");
-    while (!tok_.atEnd()) {
-      if (tok_.accept("END")) {
-        tok_.expect("COMPONENTS");
-        return;
-      }
-      tok_.expect("-");
+    while (nextItem("COMPONENTS")) {
       db::Component comp;
       comp.name = tok_.next().text;
       const std::string macroName = tok_.next().text;
@@ -176,12 +182,7 @@ class DefParser {
   void parsePins() {
     tok_.nextInt();
     tok_.expect(";");
-    while (!tok_.atEnd()) {
-      if (tok_.accept("END")) {
-        tok_.expect("PINS");
-        return;
-      }
-      tok_.expect("-");
+    while (nextItem("PINS")) {
       db::IoPin pin;
       pin.name = tok_.next().text;
       geom::Rect localShape;
@@ -216,21 +217,17 @@ class DefParser {
   void parseNets() {
     tok_.nextInt();
     tok_.expect(";");
-    while (!tok_.atEnd()) {
-      if (tok_.accept("END")) {
-        tok_.expect("NETS");
-        return;
-      }
-      tok_.expect("-");
+    while (nextItem("NETS")) {
       db::Net net;
       net.name = tok_.next().text;
       while (!tok_.atEnd() && tok_.peek().text == "(") {
         tok_.expect("(");
-        const std::string first = tok_.next().text;
-        const std::string second = tok_.next().text;
+        const int line = tok_.currentLine();
+        std::string first = tok_.next().text;
+        std::string second = tok_.next().text;
         tok_.expect(")");
-        rawPins_.push_back(
-            RawPin{static_cast<int>(design_.nets.size()), first, second});
+        rawPins_.push_back(RawPin{static_cast<int>(design_.nets.size()),
+                                  std::move(first), std::move(second), line});
       }
       while (tok_.accept("+")) {
         tok_.next();  // USE SIGNAL etc.
@@ -244,12 +241,7 @@ class DefParser {
   void parseBlockages() {
     tok_.nextInt();
     tok_.expect(";");
-    while (!tok_.atEnd()) {
-      if (tok_.accept("END")) {
-        tok_.expect("BLOCKAGES");
-        return;
-      }
-      tok_.expect("-");
+    while (nextItem("BLOCKAGES")) {
       db::Blockage blockage;
       if (tok_.accept("LAYER")) {
         const std::string layerName = tok_.next().text;
@@ -290,20 +282,22 @@ class DefParser {
       if (raw.first == "PIN") {
         const auto it = ioByName.find(raw.second);
         if (it == ioByName.end()) {
-          throw ParseError("net references unknown IO pin " + raw.second, 0);
+          throw ParseError("net references unknown IO pin " + raw.second,
+                           raw.line);
         }
         net.pins.push_back(db::NetPin{db::IoPinId{it->second}});
       } else {
         const auto it = compByName.find(raw.first);
         if (it == compByName.end()) {
-          throw ParseError("net references unknown component " + raw.first, 0);
+          throw ParseError("net references unknown component " + raw.first,
+                           raw.line);
         }
         const db::Component& comp = design_.components[it->second];
         const auto pinIdx = lib_.macro(comp.macro).findPin(raw.second);
         if (!pinIdx.has_value()) {
           throw ParseError("net references unknown pin " + raw.first + "/" +
                                raw.second,
-                           0);
+                           raw.line);
         }
         net.pins.push_back(
             db::NetPin{db::CompPinRef{it->second, *pinIdx}});
@@ -315,6 +309,7 @@ class DefParser {
     int net;
     std::string first;   // component name or "PIN"
     std::string second;  // pin name
+    int line;            // of the pin's component (or PIN) name
   };
 
   Tokenizer tok_;
@@ -334,11 +329,7 @@ Design parseDef(const std::string& text, const Tech& tech,
 
 Design parseDefFile(const std::string& path, const Tech& tech,
                     const Library& lib) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open DEF file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parseDef(buffer.str(), tech, lib);
+  return parseDef(util::readFile(path), tech, lib);
 }
 
 }  // namespace crp::lefdef

@@ -1,6 +1,5 @@
 #include "lefdef/guide_io.hpp"
 
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -70,11 +69,7 @@ std::vector<NetGuide> parseGuides(const std::string& text,
 
 std::vector<NetGuide> parseGuidesFile(const std::string& path,
                                       const db::Tech& tech) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open guide file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parseGuides(buffer.str(), tech);
+  return parseGuides(util::readFile(path), tech);
 }
 
 }  // namespace crp::lefdef

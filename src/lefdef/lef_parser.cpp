@@ -1,10 +1,9 @@
 #include "lefdef/lef_parser.hpp"
 
 #include <cmath>
-#include <fstream>
-#include <sstream>
 
 #include "lefdef/tokenizer.hpp"
+#include "util/file_io.hpp"
 
 namespace crp::lefdef {
 
@@ -60,6 +59,13 @@ class LefParser {
         squareMicrons * tech_.dbuPerMicron * tech_.dbuPerMicron));
   }
 
+  /// True, consuming "END <name>", at the end of a named block.
+  bool endOf(const std::string& name) {
+    if (!tok_.accept("END")) return false;
+    tok_.expect(name);
+    return true;
+  }
+
   Rect nextRect() {
     const double x0 = tok_.nextDouble();
     const double y0 = tok_.nextDouble();
@@ -69,11 +75,7 @@ class LefParser {
   }
 
   void parseUnits() {
-    while (!tok_.atEnd()) {
-      if (tok_.accept("END")) {
-        tok_.expect("UNITS");
-        return;
-      }
+    while (!tok_.atEnd() && !endOf("UNITS")) {
       if (tok_.accept("DATABASE")) {
         tok_.expect("MICRONS");
         tech_.dbuPerMicron = static_cast<int>(tok_.nextInt());
@@ -88,11 +90,7 @@ class LefParser {
     const std::string name = tok_.next().text;
     db::Site site;
     site.name = name;
-    while (!tok_.atEnd()) {
-      if (tok_.accept("END")) {
-        tok_.expect(name);
-        break;
-      }
+    while (!tok_.atEnd() && !endOf(name)) {
       if (tok_.accept("SIZE")) {
         site.width = toDbu(tok_.nextDouble());
         tok_.expect("BY");
@@ -112,11 +110,7 @@ class LefParser {
     db::CutLayer cut;
     layer.name = name;
     cut.name = name;
-    while (!tok_.atEnd()) {
-      if (tok_.accept("END")) {
-        tok_.expect(name);
-        break;
-      }
+    while (!tok_.atEnd() && !endOf(name)) {
       if (tok_.accept("TYPE")) {
         type = tok_.next().text;
         tok_.expect(";");
@@ -132,9 +126,7 @@ class LefParser {
         layer.width = toDbu(tok_.nextDouble());
         tok_.expect(";");
       } else if (tok_.accept("SPACING")) {
-        const Coord spacing = toDbu(tok_.nextDouble());
-        layer.spacing = spacing;
-        cut.spacing = spacing;
+        layer.spacing = cut.spacing = toDbu(tok_.nextDouble());
         tok_.expect(";");
       } else if (tok_.accept("AREA")) {
         layer.minArea = toDbuArea(tok_.nextDouble());
@@ -180,11 +172,7 @@ class LefParser {
     via.name = name;
     int shapesSeen = 0;
     int firstLayer = -1;
-    while (!tok_.atEnd()) {
-      if (tok_.accept("END")) {
-        tok_.expect(name);
-        break;
-      }
+    while (!tok_.atEnd() && !endOf(name)) {
       if (tok_.accept("LAYER")) {
         const std::string layerName = tok_.next().text;
         tok_.expect(";");
@@ -217,11 +205,7 @@ class LefParser {
     const std::string name = tok_.next().text;
     Macro macro;
     macro.name = name;
-    while (!tok_.atEnd()) {
-      if (tok_.accept("END")) {
-        tok_.expect(name);
-        break;
-      }
+    while (!tok_.atEnd() && !endOf(name)) {
       if (tok_.accept("SIZE")) {
         macro.width = toDbu(tok_.nextDouble());
         tok_.expect("BY");
@@ -230,11 +214,9 @@ class LefParser {
       } else if (tok_.accept("PIN")) {
         macro.pins.push_back(parsePin());
       } else if (tok_.accept("OBS")) {
-        parseObs(macro);
-      } else if (tok_.accept("CLASS") || tok_.accept("ORIGIN") ||
-                 tok_.accept("SYMMETRY") || tok_.accept("SITE") ||
-                 tok_.accept("FOREIGN")) {
-        tok_.skipStatement();
+        parseLayerRects([&macro](int layer, const Rect& rect) {
+          macro.obstructions.push_back(db::Obstruction{layer, rect});
+        });
       } else {
         tok_.skipStatement();
       }
@@ -246,11 +228,7 @@ class LefParser {
     const std::string name = tok_.next().text;
     MacroPin pin;
     pin.name = name;
-    while (!tok_.atEnd()) {
-      if (tok_.accept("END")) {
-        tok_.expect(name);
-        break;
-      }
+    while (!tok_.atEnd() && !endOf(name)) {
       if (tok_.accept("DIRECTION")) {
         const std::string dir = tok_.next().text;
         if (dir == "OUTPUT") {
@@ -262,7 +240,9 @@ class LefParser {
         }
         tok_.skipStatement();  // swallow optional TRISTATE etc. + ';'
       } else if (tok_.accept("PORT")) {
-        parsePort(pin);
+        parseLayerRects([&pin](int layer, const Rect& rect) {
+          pin.shapes.push_back(db::PinShape{layer, rect});
+        });
       } else {
         tok_.skipStatement();
       }
@@ -270,31 +250,12 @@ class LefParser {
     return pin;
   }
 
-  void parsePort(MacroPin& pin) {
+  /// LAYER/RECT statements of a PORT or OBS block, up to its bare END:
+  /// `add(layer, rect)` receives each rect on a known routing layer.
+  template <typename AddShape>
+  void parseLayerRects(AddShape add) {
     int currentLayer = -1;
-    while (!tok_.atEnd()) {
-      if (tok_.accept("END")) return;  // PORT blocks end with bare END
-      if (tok_.accept("LAYER")) {
-        const std::string layerName = tok_.next().text;
-        tok_.expect(";");
-        const auto idx = tech_.findLayer(layerName);
-        currentLayer = idx.value_or(-1);
-      } else if (tok_.accept("RECT")) {
-        const Rect rect = nextRect();
-        tok_.expect(";");
-        if (currentLayer >= 0) {
-          pin.shapes.push_back(db::PinShape{currentLayer, rect});
-        }
-      } else {
-        tok_.skipStatement();
-      }
-    }
-  }
-
-  void parseObs(Macro& macro) {
-    int currentLayer = -1;
-    while (!tok_.atEnd()) {
-      if (tok_.accept("END")) return;
+    while (!tok_.atEnd() && !tok_.accept("END")) {
       if (tok_.accept("LAYER")) {
         const std::string layerName = tok_.next().text;
         tok_.expect(";");
@@ -302,9 +263,7 @@ class LefParser {
       } else if (tok_.accept("RECT")) {
         const Rect rect = nextRect();
         tok_.expect(";");
-        if (currentLayer >= 0) {
-          macro.obstructions.push_back(db::Obstruction{currentLayer, rect});
-        }
+        if (currentLayer >= 0) add(currentLayer, rect);
       } else {
         tok_.skipStatement();
       }
@@ -324,11 +283,7 @@ std::pair<Tech, Library> parseLef(const std::string& text) {
 }
 
 std::pair<Tech, Library> parseLefFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open LEF file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parseLef(buffer.str());
+  return parseLef(util::readFile(path));
 }
 
 }  // namespace crp::lefdef

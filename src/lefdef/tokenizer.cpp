@@ -5,62 +5,60 @@
 
 namespace crp::lefdef {
 
-Tokenizer::Tokenizer(std::string_view input) {
-  int line = 1;
-  std::size_t i = 0;
-  const std::size_t n = input.size();
-  while (i < n) {
-    const char c = input[i];
-    if (c == '\n') {
-      ++line;
-      ++i;
-      continue;
-    }
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
-    }
+namespace {
+
+bool isDelimiter(char c) {
+  return std::isspace(static_cast<unsigned char>(c)) || c == '(' ||
+         c == ')' || c == ';' || c == '#';
+}
+
+}  // namespace
+
+Tokenizer::Tokenizer(std::string_view input) : input_(input) { advance(); }
+
+void Tokenizer::advance() {
+  const std::size_t n = input_.size();
+  while (pos_ < n) {  // skip blanks and comments
+    const char c = input_[pos_];
     if (c == '#') {  // comment to end of line
-      while (i < n && input[i] != '\n') ++i;
-      continue;
+      while (pos_ < n && input_[pos_] != '\n') ++pos_;
+    } else if (std::isspace(static_cast<unsigned char>(c))) {
+      line_ += c == '\n';
+      ++pos_;
+    } else {
+      break;
     }
-    if (c == '(' || c == ')' || c == ';') {
-      tokens_.push_back(Token{std::string(1, c), line});
-      ++i;
-      continue;
-    }
-    if (c == '"') {
-      std::size_t begin = ++i;
-      while (i < n && input[i] != '"') ++i;
-      tokens_.push_back(Token{std::string(input.substr(begin, i - begin)),
-                              line});
-      if (i < n) ++i;  // closing quote
-      continue;
-    }
-    std::size_t begin = i;
-    while (i < n && !std::isspace(static_cast<unsigned char>(input[i])) &&
-           input[i] != '(' && input[i] != ')' && input[i] != ';' &&
-           input[i] != '#') {
-      ++i;
-    }
-    tokens_.push_back(Token{std::string(input.substr(begin, i - begin)),
-                            line});
+  }
+  hasNext_ = pos_ < n;
+  if (!hasNext_) return;
+  next_.line = line_;
+  const char c = input_[pos_];
+  if (c == '(' || c == ')' || c == ';') {
+    next_.text.assign(1, c);
+    ++pos_;
+  } else if (c == '"') {
+    const std::size_t begin = ++pos_;
+    while (pos_ < n && input_[pos_] != '"') ++pos_;
+    next_.text.assign(input_.substr(begin, pos_ - begin));
+    if (pos_ < n) ++pos_;  // closing quote
+  } else {
+    const std::size_t begin = pos_;
+    while (pos_ < n && !isDelimiter(input_[pos_])) ++pos_;
+    next_.text.assign(input_.substr(begin, pos_ - begin));
   }
 }
 
-const Token& Tokenizer::peek() const { return peek(0); }
-
-const Token& Tokenizer::peek(std::size_t offset) const {
-  if (pos_ + offset >= tokens_.size()) {
-    static const Token kEof{"<eof>", -1};
-    return kEof;
-  }
-  return tokens_[pos_ + offset];
+const Token& Tokenizer::peek() const {
+  static const Token kEof{"<eof>", -1};
+  return hasNext_ ? next_ : kEof;
 }
 
 Token Tokenizer::next() {
   if (atEnd()) throw ParseError("unexpected end of input", currentLine());
-  return tokens_[pos_++];
+  Token token = next_;
+  lastLine_ = token.line;
+  advance();
+  return token;
 }
 
 void Tokenizer::expect(std::string_view expected) {
@@ -79,11 +77,10 @@ void Tokenizer::skipStatement() {
 }
 
 bool Tokenizer::accept(std::string_view text) {
-  if (!atEnd() && peek().text == text) {
-    ++pos_;
-    return true;
-  }
-  return false;
+  if (atEnd() || next_.text != text) return false;
+  lastLine_ = next_.line;
+  advance();
+  return true;
 }
 
 double Tokenizer::nextDouble() {
@@ -105,12 +102,6 @@ long long Tokenizer::nextInt() {
                      token.line);
   }
   return value;
-}
-
-int Tokenizer::currentLine() const {
-  if (tokens_.empty()) return 0;
-  if (pos_ >= tokens_.size()) return tokens_.back().line;
-  return tokens_[pos_].line;
 }
 
 }  // namespace crp::lefdef

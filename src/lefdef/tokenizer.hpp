@@ -1,16 +1,17 @@
 // Token stream shared by the LEF and DEF parsers.
 //
 // LEF/DEF are whitespace/semicolon-delimited keyword languages with
-// '#' end-of-line comments and quoted strings.  The tokenizer exposes
-// a cursor with peek/next/expect plus typed readers (numbers in
-// microns or DBU).  Parse errors throw ParseError with the 1-based
-// line number of the offending token.
+// '#' end-of-line comments and quoted strings.  The tokenizer is a
+// streaming cursor over the caller's text: it scans one token ahead
+// on demand and never stores the token list, so parsing a file costs
+// the file plus one token.  It exposes peek/next/expect plus typed
+// readers (numbers in microns or DBU).  Parse errors throw ParseError
+// with the 1-based line number of the offending token.
 #pragma once
 
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace crp::lefdef {
 
@@ -28,15 +29,15 @@ struct Token {
 
 class Tokenizer {
  public:
-  /// Tokenizes the full input.  '#' comments are stripped; '(' ')' ';'
-  /// are standalone tokens; quoted strings become single tokens without
-  /// the quotes.
+  /// Views `input`, which must outlive the tokenizer.  '#' comments
+  /// are stripped; '(' ')' ';' are standalone tokens; quoted strings
+  /// become single tokens without the quotes.
   explicit Tokenizer(std::string_view input);
 
-  bool atEnd() const { return pos_ >= tokens_.size(); }
+  bool atEnd() const { return !hasNext_; }
+  /// The next token, or an "<eof>" token (line -1) at the end.  The
+  /// reference is invalidated by the next consuming call.
   const Token& peek() const;
-  /// Lookahead by `offset` tokens (0 == peek()).
-  const Token& peek(std::size_t offset) const;
   Token next();
 
   /// Consumes a token and checks it equals `expected`.
@@ -53,11 +54,20 @@ class Tokenizer {
   /// Reads a token as int64 (DEF DBU values).
   long long nextInt();
 
-  int currentLine() const;
+  /// Line of the next token; at the end, the line of the last token
+  /// (0 for an input without tokens).
+  int currentLine() const { return hasNext_ ? next_.line : lastLine_; }
 
  private:
-  std::vector<Token> tokens_;
-  std::size_t pos_ = 0;
+  /// Scans the token after the consumed one into next_.
+  void advance();
+
+  std::string_view input_;
+  std::size_t pos_ = 0;  ///< scan position in input_
+  int line_ = 1;         ///< line at pos_
+  Token next_;           ///< one token of lookahead
+  bool hasNext_ = false;
+  int lastLine_ = 0;  ///< line of the last consumed token
 };
 
 }  // namespace crp::lefdef

@@ -93,7 +93,8 @@ IlpLegalizer::IlpLegalizer(const db::Database& db, LegalizerOptions options)
   }
 }
 
-std::vector<LegalizedCandidate> IlpLegalizer::generate(db::CellId cell) const {
+std::vector<LegalizedCandidate> IlpLegalizer::generate(
+    db::CellId cell, ilp::SolveTotals* totals) const {
   CRP_OBS_SPAN("gcp", "legalizer.window");
   CRP_OBS_COUNT("legalizer.windows", 1);
   std::vector<LegalizedCandidate> candidates;
@@ -299,6 +300,7 @@ std::vector<LegalizedCandidate> IlpLegalizer::generate(db::CellId cell) const {
 
     CRP_OBS_COUNT("legalizer.ilp_solves", 1);
     const ilp::IlpResult solution = ilp::solveIlp(model);
+    if (totals != nullptr) totals->add(solution);
     if (solution.status != ilp::IlpStatus::kOptimal &&
         solution.status != ilp::IlpStatus::kFeasible) {
       continue;  // no legal rearrangement for this slot

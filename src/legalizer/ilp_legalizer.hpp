@@ -53,8 +53,10 @@ class IlpLegalizer {
   /// included — the framework adds it separately per Alg. 2 line 2).
   /// Thread-safe: reads the database and the snapshot index, never
   /// mutates either.  Positions must not have changed since
-  /// construction.
-  std::vector<LegalizedCandidate> generate(db::CellId cell) const;
+  /// construction.  `totals`, when given, receives the effort of the
+  /// window ILPs solved for this cell.
+  std::vector<LegalizedCandidate> generate(
+      db::CellId cell, ilp::SolveTotals* totals = nullptr) const;
 
   const LegalizerOptions& options() const { return options_; }
 

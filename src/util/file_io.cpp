@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <stdexcept>
 #include <system_error>
 
@@ -33,6 +34,32 @@ std::string tempPathFor(const std::string& path) {
 }
 
 }  // namespace
+
+std::string readFile(const std::string& path) {
+  const auto fail = [&path](int err) {
+    return std::runtime_error("cannot read " + path + ": " +
+                              std::strerror(err));
+  };
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
+      std::fopen(path.c_str(), "rb"), &std::fclose);
+  if (!file) throw fail(errno);
+  struct stat st {};
+  if (::fstat(::fileno(file.get()), &st) != 0) st.st_size = 0;
+  // One byte of slack: a regular file then ends on a short read into
+  // the same buffer; a pipe (size 0) grows it as it goes.
+  std::string text(static_cast<std::size_t>(st.st_size) + 1, '\0');
+  std::size_t size = 0;
+  for (;;) {
+    if (size == text.size()) text.resize(2 * size);
+    const std::size_t room = text.size() - size;
+    const std::size_t n = std::fread(text.data() + size, 1, room, file.get());
+    size += n;
+    if (n < room) break;  // end of file, or a failed read
+  }
+  if (std::ferror(file.get())) throw fail(errno);
+  text.resize(size);
+  return text;
+}
 
 bool writeFileAtomic(const std::string& path,
                      const std::function<bool(std::ostream&)>& produce,

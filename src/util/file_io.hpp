@@ -1,4 +1,7 @@
-// Atomic, error-checked artifact writing.
+// Error-checked whole-file reading and atomic artifact writing.
+//
+// readFile is the one way the program reads an input file (LEF, DEF,
+// guides, eco deltas, JSON artifacts).
 //
 // The CLI and daemon persist JSON artifacts (reports, traces, heatmap
 // series, eco deltas) that downstream tooling parses.  A bare
@@ -17,6 +20,13 @@
 #include <string_view>
 
 namespace crp::util {
+
+/// Returns the whole content of `path` (one read sized by fstat, then
+/// reads until end of file, so pipes and growing files work too).
+/// Throws std::runtime_error("cannot read <path>: <reason>") when the
+/// open or any read fails, so a directory never reads as empty text;
+/// an empty file yields "".
+std::string readFile(const std::string& path);
 
 /// Writes `produce`'s output to `path` atomically: the producer
 /// streams into a temp file next to the destination; after a flush

@@ -5,8 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +19,7 @@
 #include "obs/heatmap.hpp"
 #include "obs/obs.hpp"
 #include "test_helpers.hpp"
+#include "util/file_io.hpp"
 
 namespace crp {
 namespace {
@@ -308,8 +307,8 @@ TEST(DbAuditorMutation, CorruptCandidatePriceCaughtByCandidatePricingOnly) {
   router.run();
   const legalizer::IlpLegalizer legalizer(db);
   auto candidates = core::buildCandidates(db, legalizer, {2, 9, 20}, nullptr);
-  core::priceCandidates(db, router, candidates, nullptr,
-                        core::PricingOptions{});
+  core::PricingCache cache;
+  core::priceCandidates(db, router, candidates, nullptr, cache);
 
   AuditReport fresh;
   core::auditCandidatePrices(db, router, candidates, fresh);
@@ -499,11 +498,7 @@ TEST(FlightDump, DirtyAuditWritesRenderableArtifact) {
   ASSERT_FALSE(path.empty());
   EXPECT_NE(path.find("flight_UD-iter0.json"), std::string::npos) << path;
 
-  std::ifstream in(path);
-  ASSERT_TRUE(in) << "dump not written to " << path;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const obs::Json dump = obs::Json::parse(buffer.str());
+  const obs::Json dump = obs::Json::parse(util::readFile(path));
 
   EXPECT_EQ(dump.at("schemaVersion").asInt(),
             obs::FlightRecorder::kSchemaVersion);

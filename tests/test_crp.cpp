@@ -134,8 +134,9 @@ TEST(CriticalCells, FixedCellsNeverSelected) {
 TEST(CandidateGeneration, FirstCandidateIsCurrentPosition) {
   Fixture f;
   const legalizer::IlpLegalizer legalizer(f.db);
-  const auto result =
-      generateCandidates(f.db, f.router, legalizer, {0, 5, 11}, nullptr);
+  PricingCache cache;
+  const auto result = generateCandidates(f.db, f.router, legalizer,
+                                         {0, 5, 11}, nullptr, cache);
   ASSERT_EQ(result.size(), 3u);
   for (const auto& cc : result) {
     ASSERT_FALSE(cc.candidates.empty());
@@ -147,8 +148,9 @@ TEST(CandidateGeneration, FirstCandidateIsCurrentPosition) {
 TEST(CandidateGeneration, PricesAreFiniteAndPositive) {
   Fixture f;
   const legalizer::IlpLegalizer legalizer(f.db);
+  PricingCache cache;
   const auto result =
-      generateCandidates(f.db, f.router, legalizer, {2, 7}, nullptr);
+      generateCandidates(f.db, f.router, legalizer, {2, 7}, nullptr, cache);
   for (const auto& cc : result) {
     for (const auto& candidate : cc.candidates) {
       EXPECT_GT(candidate.routeCost, 0.0);
@@ -162,10 +164,12 @@ TEST(CandidateGeneration, ParallelMatchesSequential) {
   const legalizer::IlpLegalizer legalizer(f.db);
   const std::vector<CellId> critical{1, 4, 9, 16};
   util::ThreadPool pool(4);
-  const auto seq =
-      generateCandidates(f.db, f.router, legalizer, critical, nullptr);
-  const auto par =
-      generateCandidates(f.db, f.router, legalizer, critical, &pool);
+  PricingCache seqCache;
+  PricingCache parCache;
+  const auto seq = generateCandidates(f.db, f.router, legalizer, critical,
+                                      nullptr, seqCache);
+  const auto par = generateCandidates(f.db, f.router, legalizer, critical,
+                                      &pool, parCache);
   ASSERT_EQ(seq.size(), par.size());
   for (std::size_t i = 0; i < seq.size(); ++i) {
     ASSERT_EQ(seq[i].candidates.size(), par[i].candidates.size());

@@ -67,10 +67,49 @@ TEST(Tokenizer, SkipStatement) {
 }
 
 TEST(Tokenizer, PeekAheadAndAccept) {
-  Tokenizer tok("X Y");
-  EXPECT_EQ(tok.peek(1).text, "Y");
+  Tokenizer tok("X\nY");
+  EXPECT_EQ(tok.peek().text, "X");
   EXPECT_FALSE(tok.accept("Y"));
+  EXPECT_EQ(tok.peek().text, "X");  // a failed accept consumes nothing
   EXPECT_TRUE(tok.accept("X"));
+  EXPECT_EQ(tok.peek().text, "Y");
+  EXPECT_EQ(tok.peek().line, 2);
+  EXPECT_EQ(tok.currentLine(), 2);
+}
+
+TEST(Tokenizer, EndOfInputAfterTrailingComment) {
+  Tokenizer tok("A ;\n# trailing comment\n# and another");
+  EXPECT_EQ(tok.next().text, "A");
+  EXPECT_FALSE(tok.atEnd());
+  EXPECT_EQ(tok.next().text, ";");
+  EXPECT_TRUE(tok.atEnd());
+  EXPECT_EQ(tok.peek().text, "<eof>");
+  EXPECT_EQ(tok.peek().line, -1);
+  EXPECT_FALSE(tok.accept("A"));
+  EXPECT_FALSE(tok.accept("<eof>"));
+  try {
+    tok.next();
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line, 1);  // the last token's line, not the comment's
+    EXPECT_NE(std::string(e.what()).find("unexpected end of input"),
+              std::string::npos);
+  }
+}
+
+TEST(Tokenizer, CurrentLineTracksNextThenLastToken) {
+  Tokenizer empty("  # only a comment\n");
+  EXPECT_TRUE(empty.atEnd());
+  EXPECT_EQ(empty.currentLine(), 0);
+
+  Tokenizer tok("\nA\n\nB \"q\"\n\n");
+  EXPECT_EQ(tok.currentLine(), 2);
+  tok.next();
+  EXPECT_EQ(tok.currentLine(), 4);
+  tok.next();
+  EXPECT_TRUE(tok.accept("q"));
+  EXPECT_TRUE(tok.atEnd());
+  EXPECT_EQ(tok.currentLine(), 4);  // accept() counts as consuming
 }
 
 // ---- LEF round-trip -----------------------------------------------------------
@@ -266,6 +305,30 @@ END DESIGN
   EXPECT_THROW(parseDef(def, base.tech(), base.library()), ParseError);
 }
 
+TEST(DefParser, NetPinErrorsNameTheirLine) {
+  const auto base = crp::testing::makeTinyDatabase();
+  const std::string head =
+      "DESIGN t ;\n"
+      "DIEAREA ( 0 0 ) ( 10 10 ) ;\n"
+      "COMPONENTS 1 ;\n"
+      "  - u1 INV_X1 + PLACED ( 0 0 ) N ;\n"
+      "END COMPONENTS\n"
+      "NETS 1 ;\n"
+      "  - n ( u1 A )\n";
+  const auto lineOf = [&](const std::string& badPin) {
+    try {
+      parseDef(head + "    " + badPin + " ;\nEND NETS\nEND DESIGN\n",
+               base.tech(), base.library());
+    } catch (const ParseError& e) {
+      return e.line;
+    }
+    return -1;
+  };
+  EXPECT_EQ(lineOf("( nope A )"), 8);    // unknown component
+  EXPECT_EQ(lineOf("( u1 NO_PIN )"), 8);  // unknown pin
+  EXPECT_EQ(lineOf("( PIN nope )"), 8);   // unknown IO pin
+}
+
 TEST(DefParser, FixedComponentsKeepFlag) {
   const auto base = crp::testing::makeTinyDatabase();
   const std::string def = R"(
@@ -389,6 +452,27 @@ TEST(DefParser, CommentsIgnoredEverywhere) {
   const auto design = parseDef(def, base.tech(), base.library());
   EXPECT_EQ(design.name, "t");
   EXPECT_EQ(design.dieArea, (geom::Rect{0, 0, 10, 10}));
+}
+
+// ---- file entry points -----------------------------------------------------
+
+TEST(FileReaders, DirectoryInputThrowsNamingThePath) {
+  namespace fs = std::filesystem;
+  const auto db = crp::testing::makeTinyDatabase();
+  const std::string dir = fs::temp_directory_path().string();
+  const auto expectNamed = [&dir](const auto& parse) {
+    try {
+      parse();
+      ADD_FAILURE() << "expected a read error for " << dir;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("cannot read " + dir),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expectNamed([&] { parseLefFile(dir); });
+  expectNamed([&] { parseDefFile(dir, db.tech(), db.library()); });
+  expectNamed([&] { parseGuidesFile(dir, db.tech()); });
 }
 
 // ---- file writers -----------------------------------------------------------

@@ -159,7 +159,8 @@ TEST(PricingEngine, MatchesNaiveReferencePrices) {
   ASSERT_GT(displacing, 0u);
 
   obs::PricingStats stats;
-  priceCandidates(f.db, f.router, engine, nullptr, PricingOptions{}, &stats);
+  PricingCache cache;
+  priceCandidates(f.db, f.router, engine, nullptr, cache, &stats);
 
   const groute::PatternRouter pattern(f.router.graph());
   groute::PatternRouter::Scratch scratch;
@@ -187,8 +188,8 @@ TEST(PricingEngine, ReportsStats) {
   const legalizer::IlpLegalizer legalizer(f.db);
   obs::PricingStats stats;
   auto candidates = buildCandidates(f.db, legalizer, {2, 7, 13}, nullptr);
-  priceCandidates(f.db, f.router, candidates, nullptr, PricingOptions{},
-                  &stats);
+  PricingCache cache;
+  priceCandidates(f.db, f.router, candidates, nullptr, cache, &stats);
   EXPECT_GT(stats.netsPriced(), 0u);
   EXPECT_GT(stats.cacheMisses, 0u);
   EXPECT_GE(stats.hitRate(), 0.0);

@@ -333,20 +333,14 @@ TEST(FileIo, WriteFileAtomicWritesContent) {
   const std::string path = tempDirFor("write") + "/out.txt";
   std::string error;
   ASSERT_TRUE(writeFileAtomic(path, "payload\n", &error)) << error;
-  std::ifstream in(path);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  EXPECT_EQ(content, "payload\n");
+  EXPECT_EQ(readFile(path), "payload\n");
 }
 
 TEST(FileIo, WriteFileAtomicReplacesExisting) {
   const std::string path = tempDirFor("replace") + "/out.txt";
   ASSERT_TRUE(writeFileAtomic(path, "old"));
   ASSERT_TRUE(writeFileAtomic(path, "new"));
-  std::ifstream in(path);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  EXPECT_EQ(content, "new");
+  EXPECT_EQ(readFile(path), "new");
 }
 
 TEST(FileIo, WriteFileAtomicFailsOnMissingDirectory) {
@@ -370,20 +364,42 @@ TEST(FileIo, ProducerFailureLeavesNoFileBehind) {
   EXPECT_TRUE(fs::is_empty(dir));
 }
 
-// ---- appendLineAtomic ------------------------------------------------------
+// ---- readFile --------------------------------------------------------------
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
+TEST(FileIo, ReadFileReturnsWholeContent) {
+  const std::string dir = tempDirFor("read");
+  const std::string big(100000, 'x');
+  ASSERT_TRUE(writeFileAtomic(dir + "/big.txt", big + "\nend"));
+  EXPECT_EQ(readFile(dir + "/big.txt"), big + "\nend");
+  ASSERT_TRUE(writeFileAtomic(dir + "/empty.txt", ""));
+  EXPECT_EQ(readFile(dir + "/empty.txt"), "");
 }
+
+TEST(FileIo, ReadFileThrowsNamingPathAndReason) {
+  const std::string dir = tempDirFor("read_fail");
+  const auto messageOf = [](const std::string& path) -> std::string {
+    try {
+      readFile(path);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  // A failed open.
+  EXPECT_EQ(messageOf(dir + "/missing.txt"),
+            "cannot read " + dir + "/missing.txt: No such file or directory");
+  // A good open whose read fails must not read as empty text.
+  EXPECT_EQ(messageOf(dir), "cannot read " + dir + ": Is a directory");
+}
+
+// ---- appendLineAtomic ------------------------------------------------------
 
 TEST(FileIo, AppendLineAtomicAppendsTerminatedLines) {
   const std::string path = tempDirFor("append") + "/ledger.jsonl";
   std::string error;
   ASSERT_TRUE(appendLineAtomic(path, "first", &error)) << error;
   ASSERT_TRUE(appendLineAtomic(path, "second", &error)) << error;
-  EXPECT_EQ(slurp(path), "first\nsecond\n");
+  EXPECT_EQ(readFile(path), "first\nsecond\n");
 }
 
 TEST(FileIo, AppendLineAtomicRepairsTornTail) {
@@ -396,7 +412,7 @@ TEST(FileIo, AppendLineAtomicRepairsTornTail) {
     out << "good\ntorn-fragmen";
   }
   ASSERT_TRUE(appendLineAtomic(path, "next"));
-  EXPECT_EQ(slurp(path), "good\ntorn-fragmen\nnext\n");
+  EXPECT_EQ(readFile(path), "good\ntorn-fragmen\nnext\n");
 }
 
 TEST(FileIo, AppendLineAtomicConcurrentAppendsKeepLinesIntact) {
@@ -417,7 +433,7 @@ TEST(FileIo, AppendLineAtomicConcurrentAppendsKeepLinesIntact) {
   }
   for (std::thread& w : workers) w.join();
 
-  std::ifstream in(path);
+  std::istringstream in(readFile(path));
   std::string line;
   std::set<std::string> seen;
   while (std::getline(in, line)) {

@@ -76,12 +76,10 @@
 #include <cmath>
 #include <csignal>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -290,17 +288,8 @@ int cmdEco(const Args& args) {
     std::cerr << "error: input placement is not legal\n";
     return 1;
   }
-  db::EcoDelta delta;
-  {
-    std::ifstream in(args.positional[2]);
-    if (!in) {
-      std::cerr << "error: cannot read " << args.positional[2] << "\n";
-      return 1;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    delta = db::ecoDeltaFromJson(obs::Json::parse(text.str()));
-  }
+  const db::EcoDelta delta = db::ecoDeltaFromJson(
+      obs::Json::parse(util::readFile(args.positional[2])));
 
   const int routerThreads =
       static_cast<int>(args.number("router-threads", 0));

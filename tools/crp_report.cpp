@@ -39,11 +39,9 @@
 #include <cstdlib>
 #include <ctime>
 #include <filesystem>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -86,11 +84,7 @@ struct Args {
 };
 
 obs::Json loadJsonFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot read " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return obs::Json::parse(buffer.str());
+  return obs::Json::parse(util::readFile(path));
 }
 
 void printSnapshotSummary(const obs::HeatmapSnapshot& snapshot) {
